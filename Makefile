@@ -17,10 +17,12 @@ GO ?= go
 # engine (Tick vs. /sloz State vs. HealthSource under worker fan-out).
 RACE_PKGS = ./internal/parallel ./internal/report ./internal/collector ./internal/workload ./internal/snapshot ./internal/faults ./internal/explorer ./internal/obs ./internal/quality ./internal/query ./internal/stream ./internal/fleet ./internal/slo
 
-.PHONY: verify build test vet race bench bench-json bench-stream bench-latency chaos metrics-smoke fleet trace-smoke load-smoke
+.PHONY: verify build test vet race bench bench-json bench-stream bench-latency chaos metrics-smoke fleet trace-smoke load-smoke fuzz-smoke
 
 # verify is the extended tier-1 gate (see ROADMAP.md): build + tests,
-# static checks, and the race suite over the concurrent packages.
+# static checks (including the separate perfbench module, which
+# `go build ./...` never compiles), and the race suite over the
+# concurrent packages.
 verify: build test vet race
 
 build:
@@ -31,6 +33,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -42,6 +45,14 @@ race:
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Resilien|Breaker|Backfill|Outage|Pending' . ./internal/faults ./internal/collector
 	$(GO) run ./cmd/jitosim -days 10 -scale 20000 -fault-rate 0.1 -chaos-seed 7 -fig headline
+
+# fuzz-smoke runs each snapshot decoder fuzz target for a fixed budget:
+# the seed corpus and the kept regressions under
+# internal/snapshot/testdata/fuzz first, then mutation. A failing input
+# is written to that directory; fix the decoder and keep the file.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=20s ./internal/snapshot
+	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=20s ./internal/snapshot
 
 # bench smoke-runs every benchmark once — cheap proof that each figure,
 # table and pipeline benchmark still executes; use -benchtime=default

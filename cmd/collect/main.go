@@ -184,10 +184,9 @@ func main() {
 
 	if *resume && *save != "" {
 		if f, err := os.Open(*save); err == nil {
-			// LoadCheckpoint validates the header before any decoder runs:
-			// a truncated file or a v1/v2 archive is refused with a clear
-			// error instead of being decoded (and then overwritten as v3).
-			data, lerr := collector.LoadCheckpoint(f, 4**page, 0, reg)
+			// A truncated file or an older-format archive is refused as
+			// corrupt instead of being decoded (and then overwritten).
+			data, lerr := collector.LoadDatasetObs(f, 4**page, 0, reg)
 			f.Close()
 			if lerr != nil {
 				fmt.Fprintln(os.Stderr, "collect: resume:", lerr)

@@ -3,17 +3,18 @@
 // dataset never needs to be persisted: the same flags always regenerate
 // the same figure.
 //
-// With -load the command analyzes a saved snapshot instead; -stream
-// routes that through the out-of-core engine (internal/query), which
-// scans v3 snapshots shard-at-a-time under bounded memory and falls back
-// to a full load for older containers. -days then restricts the query to
-// a study-day range, pruning out-of-range shards without decoding them.
+// With -load the command analyzes a saved snapshot instead, through the
+// out-of-core engine (internal/query), which scans the snapshot
+// shard-at-a-time under bounded memory. -days then restricts the query
+// to a study-day range, pruning out-of-range shards without decoding
+// them; -replay instead pushes the whole dataset through the incremental
+// detector.
 //
 // Usage:
 //
 //	report -fig 3 [-days 60] [-scale 5000] [-seed 1] [-points 25]
 //	report -fig table1
-//	report -fig headline -load data.snap -stream [-days 30:59]
+//	report -fig headline -load data.snap [-days 30:59]
 //	report -fig headline -cpuprofile cpu.out -memprofile mem.out
 package main
 
@@ -29,7 +30,6 @@ import (
 
 	"jitomev"
 	"jitomev/internal/collector"
-	"jitomev/internal/core"
 	"jitomev/internal/query"
 	"jitomev/internal/report"
 	streamdet "jitomev/internal/stream"
@@ -44,7 +44,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "deterministic seed")
 		points  = flag.Int("points", 25, "CDF points for figure 3")
 		load    = flag.String("load", "", "analyze a saved dataset instead of regenerating")
-		stream  = flag.Bool("stream", false, "with -load: out-of-core streaming analysis (bounded memory)")
 		replay  = flag.Bool("replay", false, "with -load: replay the dataset through the incremental detector (prints latency percentiles and cross-block verdicts)")
 		workers = flag.Int("workers", 0, "analysis workers: 0 = all cores, 1 = serial reference path")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this path")
@@ -71,7 +70,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	run(fig, days, scale, seed, points, load, stream, replay, workers, daysSet)
+	run(fig, days, scale, seed, points, load, replay, workers, daysSet)
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
 		if err != nil {
@@ -115,7 +114,7 @@ func parseDays(s string) (length int, rng *query.DayRange, err error) {
 	return length, nil, nil
 }
 
-func run(fig, days *string, scale *int, seed *int64, points *int, load *string, stream, replay *bool, workers *int, daysSet bool) {
+func run(fig, days *string, scale *int, seed *int64, points *int, load *string, replay *bool, workers *int, daysSet bool) {
 	if *fig == "table1" {
 		report.RenderTable1(os.Stdout)
 		return
@@ -132,7 +131,7 @@ func run(fig, days *string, scale *int, seed *int64, points *int, load *string, 
 			// -days N with -load: the first N study days.
 			rng = &query.DayRange{Lo: 0, Hi: length - 1}
 		}
-		renderFromFile(*load, *fig, *points, *workers, *stream, *replay, rng)
+		renderFromFile(*load, *fig, *points, *workers, *replay, rng)
 		return
 	}
 	if *replay {
@@ -180,9 +179,8 @@ func run(fig, days *string, scale *int, seed *int64, points *int, load *string, 
 // renderFromFile analyzes a saved dataset and renders the requested
 // figure. Outage shading is unavailable (the saved dataset does not
 // carry the workload's outage calendar); gaps still show as missing
-// days. rng, when non-nil, restricts the analysis to that day range via
-// the streaming engine.
-func renderFromFile(path, fig string, points, workers int, stream, replay bool, rng *query.DayRange) {
+// days. rng, when non-nil, restricts the analysis to that day range.
+func renderFromFile(path, fig string, points, workers int, replay bool, rng *query.DayRange) {
 	var r *report.Results
 	if replay {
 		if rng != nil {
@@ -190,7 +188,7 @@ func renderFromFile(path, fig string, points, workers int, stream, replay bool, 
 			os.Exit(2)
 		}
 		r = replayFromFile(path, workers)
-	} else if stream || rng != nil {
+	} else {
 		// The timer starts after flag and profile setup: wall time below
 		// is the query alone.
 		start := time.Now()
@@ -198,26 +196,11 @@ func renderFromFile(path, fig string, points, workers int, stream, replay bool, 
 		if err != nil {
 			fail(err)
 		}
-		mode := "full-load fallback (v%d container)"
-		if st.Streamed {
-			mode = "streamed v%d"
-		}
-		fmt.Fprintf(os.Stderr, "report: "+mode+": %d shards scanned, %d pruned (%.0f%%), %.1f MiB decoded, %.1f MiB skipped, peak heap %.1f MiB, %s\n",
-			st.Format, st.ShardsScanned, st.ShardsPruned, 100*st.PrunedFraction(),
+		fmt.Fprintf(os.Stderr, "report: streamed: %d shards scanned, %d pruned (%.0f%%), %.1f MiB decoded, %.1f MiB skipped, peak heap %.1f MiB, %s\n",
+			st.ShardsScanned, st.ShardsPruned, 100*st.PrunedFraction(),
 			float64(st.BytesDecoded)/(1<<20), float64(st.BytesSkipped)/(1<<20),
 			float64(st.PeakHeapBytes)/(1<<20), time.Since(start).Round(time.Millisecond))
 		r = res
-	} else {
-		f, err := os.Open(path)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		data, err := collector.LoadDatasetWorkers(f, 1024, workers)
-		if err != nil {
-			fail(err)
-		}
-		r = report.AnalyzeN(data, core.NewDefaultDetector(), 0, workers)
 	}
 	switch fig {
 	case "headline":

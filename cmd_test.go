@@ -41,7 +41,7 @@ func TestJitosimCSVAndSave(t *testing.T) {
 	}
 	dir := t.TempDir()
 	csv := filepath.Join(dir, "series.csv")
-	data := filepath.Join(dir, "data.gob")
+	data := filepath.Join(dir, "data.snap")
 	runCmd(t, "run", "./cmd/jitosim", "-days", "3", "-scale", "20000",
 		"-fig", "headline", "-csv", csv, "-savedata", data)
 

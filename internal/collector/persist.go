@@ -1,9 +1,6 @@
 package collector
 
 import (
-	"bufio"
-	"compress/gzip"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"time"
@@ -12,7 +9,6 @@ import (
 	"jitomev/internal/obs"
 	"jitomev/internal/snapshot"
 	"jitomev/internal/solana"
-	"jitomev/internal/stats"
 )
 
 // unixNano converts a persisted genesis timestamp back to time.Time.
@@ -21,31 +17,11 @@ func unixNano(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 // Dataset persistence: a four-month collection is too valuable to re-run
 // (the paper's actual dataset took four months of wall time to gather),
 // so the collector can checkpoint what it has and analysis tools can load
-// it without regenerating. Save writes the sharded columnar v3 format
-// (package snapshot): parallel encode/decode, byte-identical output at
+// it without regenerating. Save writes the sharded columnar container of
+// package snapshot: parallel encode/decode, byte-identical output at
 // every worker count, self-contained shards carrying pushdown metadata
-// for the out-of-core query engine. LoadDataset sniffs the version and
-// retains the v2 and v1 (single-stream gzip+gob) formats read-only, so
-// every checkpoint ever written stays loadable.
-
-// v1SnapshotVersion guards the legacy gob layout.
-const v1SnapshotVersion = 1
-
-// datasetSnapshotV1 is the v1 persisted form of a Dataset, kept for
-// decoding old checkpoints (and for benchmarking v2 against v1).
-type datasetSnapshotV1 struct {
-	Version  int
-	Genesis  int64 // UnixNano of the chain clock genesis
-	Days     map[int]*DayAgg
-	TipsLen1 *stats.LogHistogram
-	TipsLen3 *stats.LogHistogram
-	Len3     []jito.BundleRecord
-	Long     []jito.BundleRecord
-	Details  map[solana.Signature]jito.TxDetail
-
-	Collected  uint64
-	Duplicates uint64
-}
+// for the out-of-core query engine. LoadDataset reads exactly that
+// container and refuses anything else as snapshot.ErrCorrupt.
 
 // snapshotView is the persistence view of d: shared slices and maps, no
 // copies. The dedup window is deliberately absent; a loaded dataset
@@ -64,7 +40,7 @@ func (d *Dataset) snapshotView() *snapshot.Snapshot {
 	}
 }
 
-// Save writes the dataset to w in the v2 snapshot format using every
+// Save writes the dataset to w in the snapshot container using every
 // core. The dedup window is not persisted; a loaded dataset resumes
 // collection with a fresh window, which can at worst re-ingest a page
 // boundary's worth of duplicates (and they will be dropped by the
@@ -88,140 +64,30 @@ func (d *Dataset) SaveWorkersObs(w io.Writer, workers int, reg *obs.Registry) er
 	return nil
 }
 
-// saveV1 writes the legacy gzip+gob format. Unexported: kept only so
-// tests and benchmarks can produce v1 inputs (the golden fixture,
-// v1→v2 equivalence, and the before/after benchmark baseline).
-func (d *Dataset) saveV1(w io.Writer) error {
-	zw := gzip.NewWriter(w)
-	snap := datasetSnapshotV1{
-		Version:    v1SnapshotVersion,
-		Genesis:    d.Clock.Genesis.UnixNano(),
-		Days:       d.Days,
-		TipsLen1:   d.TipsLen1,
-		TipsLen3:   d.TipsLen3,
-		Len3:       d.Len3,
-		Long:       d.Long,
-		Details:    d.Details,
-		Collected:  d.Collected,
-		Duplicates: d.Duplicates,
-	}
-	if err := gob.NewEncoder(zw).Encode(&snap); err != nil {
-		zw.Close()
-		return fmt.Errorf("collector: encoding dataset: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("collector: flushing dataset: %w", err)
-	}
-	return nil
-}
-
-// SniffVersion inspects a snapshot stream's leading bytes without
-// consuming them and reports the container version: 1 (legacy gzip+gob),
-// 2 ("jitosnp2") or 3 ("jitosnp3"). Anything else — a truncated header,
-// a foreign file, damaged magic — is a descriptive error, so callers can
-// refuse a bad checkpoint before any decoder touches it.
-func SniffVersion(br *bufio.Reader) (int, error) {
-	head, err := br.Peek(len(snapshot.Magic))
-	if err != nil && len(head) < 2 {
-		return 0, fmt.Errorf("truncated header: %d bytes, need at least 2", len(head))
-	}
-	if head[0] == 0x1f && head[1] == 0x8b {
-		return 1, nil
-	}
-	if len(head) < len(snapshot.Magic) {
-		return 0, fmt.Errorf("truncated header: %d bytes, need %d", len(head), len(snapshot.Magic))
-	}
-	switch string(head) {
-	case snapshot.Magic:
-		return 2, nil
-	case snapshot.MagicV3:
-		return 3, nil
-	}
-	return 0, fmt.Errorf("unrecognized header %q — not a dataset snapshot", head)
-}
-
-// LoadCheckpoint is the resume loader: it accepts only the current (v3)
-// checkpoint format and refuses everything else with a clear, versioned
-// error instead of handing a stale archive to a decoder. Resuming
-// rewrites the file in place as v3, so pointing -resume at a v1/v2
-// archive would silently convert it; a truncated checkpoint means the
-// previous run's atomic-save discipline was bypassed. Both deserve a
-// loud stop, not a best-effort decode.
-func LoadCheckpoint(r io.Reader, windowSize, workers int, reg *obs.Registry) (*Dataset, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	v, err := SniffVersion(br)
-	if err != nil {
-		return nil, fmt.Errorf("collector: checkpoint: %w", err)
-	}
-	if v != 3 {
-		return nil, fmt.Errorf("collector: checkpoint is a v%d snapshot; resume requires the current v3 format "+
-			"(load the archive with `report -load` or start a fresh collection — resuming would rewrite it)", v)
-	}
-	snap, err := snapshot.ReadObs(br, workers, reg)
-	if err != nil {
-		return nil, fmt.Errorf("collector: decoding checkpoint: %w", err)
-	}
-	return datasetFromSnapshot(snap, windowSize), nil
-}
-
-// LoadDataset reads a dataset previously written by Save — either
-// format; the version is sniffed from the leading bytes. windowSize
+// LoadDataset reads a dataset previously written by Save. windowSize
 // shapes the fresh dedup window for any subsequent ingestion.
 func LoadDataset(r io.Reader, windowSize int) (*Dataset, error) {
 	return LoadDatasetWorkers(r, windowSize, 0)
 }
 
 // LoadDatasetWorkers is LoadDataset with an explicit worker count for
-// the v2 parallel decode path (0 = all cores, 1 = serial).
+// the parallel shard decode (0 = all cores, 1 = serial).
 func LoadDatasetWorkers(r io.Reader, windowSize, workers int) (*Dataset, error) {
 	return LoadDatasetObs(r, windowSize, workers, nil)
 }
 
 // LoadDatasetObs is LoadDatasetWorkers recording shard counts, byte
-// totals and load duration onto reg (nil = uninstrumented).
+// totals and load duration onto reg (nil = uninstrumented). It is also
+// the resume and merge loader: anything but a complete current-format
+// snapshot — an older container, a truncated file, foreign bytes — fails
+// wrapping snapshot.ErrCorrupt before a checkpoint could be rewritten
+// from it.
 func LoadDatasetObs(r io.Reader, windowSize, workers int, reg *obs.Registry) (*Dataset, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	v, err := SniffVersion(br)
-	if err != nil {
-		return nil, fmt.Errorf("collector: opening dataset: %w", err)
-	}
-	var snap *snapshot.Snapshot
-	if v == 1 { // gzip magic: the legacy v1 stream
-		snap, err = loadV1(br)
-	} else {
-		snap, err = snapshot.ReadObs(br, workers, reg)
-	}
+	snap, err := snapshot.ReadObs(r, workers, reg)
 	if err != nil {
 		return nil, fmt.Errorf("collector: decoding dataset: %w", err)
 	}
 	return datasetFromSnapshot(snap, windowSize), nil
-}
-
-// loadV1 decodes the legacy single-stream gzip+gob format.
-func loadV1(r io.Reader) (*snapshot.Snapshot, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	defer zr.Close()
-	var snap datasetSnapshotV1
-	if err := gob.NewDecoder(zr).Decode(&snap); err != nil {
-		return nil, err
-	}
-	if snap.Version != v1SnapshotVersion {
-		return nil, fmt.Errorf("dataset version %d, want %d", snap.Version, v1SnapshotVersion)
-	}
-	return &snapshot.Snapshot{
-		Genesis:    snap.Genesis,
-		Days:       snap.Days,
-		TipsLen1:   snap.TipsLen1,
-		TipsLen3:   snap.TipsLen3,
-		Len3:       snap.Len3,
-		Long:       snap.Long,
-		Details:    snap.Details,
-		Collected:  snap.Collected,
-		Duplicates: snap.Duplicates,
-	}, nil
 }
 
 // datasetFromSnapshot rebuilds a live dataset around the decoded state.

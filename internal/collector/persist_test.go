@@ -1,14 +1,12 @@
 package collector
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"errors"
 	"flag"
 	"net/http/httptest"
 	"os"
-	"strings"
 	"testing"
 
 	"jitomev/internal/jito"
@@ -116,10 +114,10 @@ func TestLoadedDatasetResumesWithoutDoubleCounting(t *testing.T) {
 }
 
 func TestLoadDatasetRejectsGarbage(t *testing.T) {
-	if _, err := LoadDataset(bytes.NewReader([]byte("not a gzip")), 64); err == nil {
+	if _, err := LoadDataset(bytes.NewReader([]byte("not a snapshot")), 64); err == nil {
 		t.Error("garbage accepted")
 	}
-	// Valid gzip, invalid gob.
+	// A well-formed gzip stream is still not a snapshot.
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
 	zw.Write([]byte("gibberish"))
@@ -129,10 +127,11 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointRefusesNonV3 is the -resume regression test: a
-// checkpoint that is not a current-format snapshot — a v1 or v2 archive,
-// a truncated header, foreign bytes — must be refused with a clear
-// versioned error, never decoded (or panicked over) and then rewritten.
+// TestLoadCheckpointRefusesNonV3 is the -resume and merge regression
+// test: a checkpoint that is not a complete current-format snapshot —
+// the opening bytes of a v1 (gzip+gob) or v2 archive, a truncated
+// header, foreign bytes, a cut body — must be refused as ErrCorrupt,
+// never decoded (or panicked over) and then rewritten.
 func TestLoadCheckpointRefusesNonV3(t *testing.T) {
 	c := collectedDataset(t)
 
@@ -140,65 +139,28 @@ func TestLoadCheckpointRefusesNonV3(t *testing.T) {
 	if err := c.Data.Save(&v3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(bytes.NewReader(v3.Bytes()), 256, 1, nil); err != nil {
+	if _, err := LoadDatasetObs(bytes.NewReader(v3.Bytes()), 256, 1, nil); err != nil {
 		t.Fatalf("v3 checkpoint refused: %v", err)
 	}
 
-	var v1 bytes.Buffer
-	if err := c.Data.saveV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := snapshot.WriteV2(&v2, c.Data.snapshotView(), 1); err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
-		name, want string
-		data       []byte
+		name string
+		data []byte
 	}{
-		{"v1 archive", "v1 snapshot", v1.Bytes()},
-		{"v2 archive", "v2 snapshot", v2.Bytes()},
-		{"empty file", "truncated header", nil},
-		{"one byte", "truncated header", []byte{'j'}},
-		{"short magic", "truncated header", []byte("jitos")},
-		{"foreign bytes", "not a dataset snapshot", []byte("PK\x03\x04 definitely a zip")},
-		{"damaged magic", "not a dataset snapshot", []byte("jitosnp9????????")},
+		{"v1 archive", []byte{0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0, 0, 0xff, 0x01, 0x02}},
+		{"v2 archive", append([]byte("jitosnp2"), v3.Bytes()[8:]...)},
+		{"empty file", nil},
+		{"one byte", []byte{'j'}},
+		{"short magic", []byte("jitos")},
+		{"foreign bytes", []byte("PK\x03\x04 definitely a zip")},
+		{"damaged magic", []byte("jitosnp9????????")},
+		{"truncated body", v3.Bytes()[:v3.Len()/2]},
 	}
 	for _, tc := range cases {
-		_, err := LoadCheckpoint(bytes.NewReader(tc.data), 256, 1, nil)
-		if err == nil {
-			t.Errorf("%s: accepted as a checkpoint", tc.name)
-			continue
+		_, err := LoadDatasetObs(bytes.NewReader(tc.data), 256, 1, nil)
+		if !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
-
-	// A v3 header with a truncated body is refused by the decoder (not a
-	// panic), wrapped as a corrupt snapshot.
-	cut := v3.Bytes()[:v3.Len()/2]
-	if _, err := LoadCheckpoint(bytes.NewReader(cut), 256, 1, nil); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Errorf("truncated v3 body: err = %v, want ErrCorrupt", err)
-	}
-}
-
-func TestSniffVersion(t *testing.T) {
-	for _, tc := range []struct {
-		head []byte
-		want int
-	}{
-		{[]byte{0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0}, 1},
-		{[]byte("jitosnp2rest"), 2},
-		{[]byte("jitosnp3rest"), 3},
-	} {
-		v, err := SniffVersion(bufio.NewReader(bytes.NewReader(tc.head)))
-		if err != nil || v != tc.want {
-			t.Errorf("SniffVersion(%q) = %d, %v; want %d", tc.head, v, err, tc.want)
-		}
-	}
-	if _, err := SniffVersion(bufio.NewReader(bytes.NewReader(nil))); err == nil {
-		t.Error("empty stream sniffed without error")
 	}
 }
 
@@ -317,13 +279,14 @@ func TestBackfillOverHTTP(t *testing.T) {
 	}
 }
 
-// updateGolden regenerates testdata/v1-golden.snap with the legacy v1
-// encoder: go test ./internal/collector -run GoldenV1 -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite the v1 golden fixture")
+// updateGolden regenerates testdata/v3-golden.snap — only ever together
+// with a magic bump, since the fixture pins the current writer's bytes:
+// go test ./internal/collector -run GoldenV3 -update-golden
+var updateGolden = flag.Bool("update-golden", false, "rewrite the v3 golden fixture")
 
-// goldenDataset is the hand-built dataset behind the v1 golden fixture.
+// goldenDataset is the hand-built dataset behind the golden fixture.
 // Fully deterministic — no workload, no randomness — so the assertions
-// in TestGoldenV1Fixture can be exact.
+// in TestGoldenV3Fixture can be exact.
 func goldenDataset() *Dataset {
 	d := NewDataset(testClock, 64)
 	var signerA, signerB, mintSOL, mintMEME solana.Pubkey
@@ -415,63 +378,34 @@ func datasetsEquivalent(t *testing.T, want, got *Dataset) {
 	}
 }
 
-// TestGoldenV1Fixture pins backward compatibility: the checked-in v1
-// (gzip+gob) snapshot must keep decoding through LoadDataset forever,
-// whatever format Save currently writes.
-func TestGoldenV1Fixture(t *testing.T) {
-	const path = "testdata/v1-golden.snap"
+// TestGoldenV3Fixture pins the container across commits: a serial Save
+// of goldenDataset must reproduce the checked-in bytes exactly, and those
+// bytes must load back to the same dataset. A layout change that alters
+// them must bump the snapshot magic and regenerate the fixture.
+func TestGoldenV3Fixture(t *testing.T) {
+	const path = "testdata/v3-golden.snap"
+	var buf bytes.Buffer
+	if err := goldenDataset().SaveWorkers(&buf, 1); err != nil {
+		t.Fatal(err)
+	}
 	if *updateGolden {
-		var buf bytes.Buffer
-		if err := goldenDataset().saveV1(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("rewrote %s (%d bytes)", path, buf.Len())
 	}
-	f, err := os.Open(path)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	loaded, err := LoadDataset(f, 64)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Save wrote %d bytes that differ from the %d-byte %s", buf.Len(), len(want), path)
+	}
+	loaded, err := LoadDataset(bytes.NewReader(want), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	datasetsEquivalent(t, goldenDataset(), loaded)
-}
-
-// TestV1V2Equivalence: the same dataset saved through the legacy gob
-// path and the v2 sharded path must load back identical.
-func TestV1V2Equivalence(t *testing.T) {
-	d := collectedDataset(t).Data
-
-	var v1, v2 bytes.Buffer
-	if err := d.saveV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Save(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Bytes()[0] == 0x1f {
-		t.Fatal("Save still writes the v1 gzip stream")
-	}
-
-	fromV1, err := LoadDataset(&v1, 200)
-	if err != nil {
-		t.Fatalf("v1 load: %v", err)
-	}
-	fromV2, err := LoadDataset(&v2, 200)
-	if err != nil {
-		t.Fatalf("v2 load: %v", err)
-	}
-	datasetsEquivalent(t, d, fromV1)
-	datasetsEquivalent(t, d, fromV2)
-	datasetsEquivalent(t, fromV1, fromV2)
 }
 
 // TestSaveByteIdenticalAcrossWorkers: checkpoint bytes are a pure

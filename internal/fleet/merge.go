@@ -118,7 +118,7 @@ func MergeFiles(paths []string, detailLengths []int, reg *obs.Registry) (*collec
 		if err != nil {
 			return nil, MergeStats{}, fmt.Errorf("fleet: merge: %w", err)
 		}
-		ds, lerr := collector.LoadCheckpoint(f, 64, 0, reg)
+		ds, lerr := collector.LoadDatasetObs(f, 64, 0, reg)
 		f.Close()
 		if lerr != nil {
 			return nil, MergeStats{}, fmt.Errorf("fleet: merge %s: %w", path, lerr)

@@ -183,8 +183,8 @@ type BundleRecord struct {
 func (r *BundleRecord) NumTxs() int { return len(r.TxIDs) }
 
 // Equal reports whether two records carry the same data. A nil and an
-// empty TxIDs slice compare equal: serialization round trips (gob and
-// the snapshot codecs alike) do not preserve that distinction.
+// empty TxIDs slice compare equal: serialization round trips (the
+// snapshot codec among them) do not preserve that distinction.
 func (r *BundleRecord) Equal(o *BundleRecord) bool {
 	if r.Seq != o.Seq || r.ID != o.ID || r.Slot != o.Slot ||
 		r.UnixMs != o.UnixMs || r.TipLamps != o.TipLamps ||

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"jitomev/internal/jito"
-	"jitomev/internal/parallel"
 	"jitomev/internal/solana"
 	"jitomev/internal/stats"
 )
@@ -20,11 +19,24 @@ import (
 // arbitrary allocation before the payload is even read.
 const maxShardBytes = 1 << 28
 
+// blobPrealloc is the largest compressed body read into a buffer sized
+// up front from its frame header. Honest shards compress to about
+// 1 MiB (signatures and ids barely compress), well below it.
+const blobPrealloc = 1 << 24
+
+// maxInflateRatio bounds rawLen against the compressed body: DEFLATE
+// cannot expand input by more than ~1032×, so a larger claim is corrupt
+// before its buffer is allocated.
+const maxInflateRatio = 1032
+
 var gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
 
 // decompressShard inflates blob, whose decompressed size must be exactly
 // rawLen.
 func decompressShard(blob []byte, rawLen int) ([]byte, error) {
+	if rawLen > maxInflateRatio*len(blob) {
+		return nil, corrupt("shard inflates %d bytes to a claimed %d", len(blob), rawLen)
+	}
 	zr := gzipReaders.Get().(*gzip.Reader)
 	defer gzipReaders.Put(zr)
 	if err := zr.Reset(bytes.NewReader(blob)); err != nil {
@@ -44,14 +56,15 @@ func decompressShard(blob []byte, rawLen int) ([]byte, error) {
 	return raw, nil
 }
 
-// frameHeader is the per-shard prefix.
+// frameHeader is a header-section frame's prefix.
 type frameHeader struct {
 	items, rawLen, compLen int
 }
 
-// readFrame reads shard number idx's frame. Every failure — including a
-// short read truncating the header or body — is a corrupt error naming
-// the shard, so a checkpoint cut mid-stream can never load silently.
+// readFrame reads header-section shard number idx's frame. Every
+// failure — including a short read truncating the header or body — is a
+// corrupt error naming the shard, so a checkpoint cut mid-stream can
+// never load silently.
 func readFrame(br *bufio.Reader, idx, itemsLeft int) (frameHeader, []byte, error) {
 	var h frameHeader
 	for _, dst := range []*int{&h.items, &h.rawLen, &h.compLen} {
@@ -67,240 +80,118 @@ func readFrame(br *bufio.Reader, idx, itemsLeft int) (frameHeader, []byte, error
 	if h.items > itemsLeft {
 		return h, nil, corrupt("shard %d: items %d overflow section total", idx, h.items)
 	}
-	blob := make([]byte, h.compLen)
-	if n, err := io.ReadFull(br, blob); err != nil {
-		return h, nil, corrupt("shard %d: body truncated at byte %d of %d: %v", idx, n, h.compLen, err)
-	}
-	return h, blob, nil
+	blob, err := readBlob(br, idx, h.compLen)
+	return h, blob, err
 }
 
-// forEachShard reads shardCount frames from br in order, decompressing
-// and decoding them on a bounded pool of workers: the serial reader
-// stays ahead of the pool by at most ~2×workers shards, so peak
-// transient memory is bounded by the shard size, not the section.
-// handle(base, items, raw) is invoked once per shard with base = the sum
-// of preceding shards' items; it must be safe for concurrent calls on
-// distinct shards.
-func forEachShard(br *bufio.Reader, shardCount, totalItems, workers int, m *snapObs, handle func(base, items int, raw []byte) error) error {
-	workers = parallel.Workers(workers)
-	if workers == 1 || shardCount <= 1 {
-		base := 0
-		for i := 0; i < shardCount; i++ {
-			h, blob, err := readFrame(br, i, totalItems-base)
-			if err != nil {
-				return err
-			}
-			m.frame(h.rawLen, h.compLen)
-			raw, err := decompressShard(blob, h.rawLen)
-			if err != nil {
-				return corruptShard(i, err)
-			}
-			if err := handle(base, h.items, raw); err != nil {
-				return corruptShard(i, err)
-			}
-			base += h.items
-		}
-		if base != totalItems {
-			return corrupt("section holds %d items, header declared %d", base, totalItems)
-		}
-		return nil
-	}
-
-	type job struct {
-		idx  int
-		base int
-		h    frameHeader
-		blob []byte
-	}
+// readBlob reads shard idx's n-byte compressed body. Bodies up to
+// blobPrealloc bytes are read in place; a larger claim grows the buffer
+// only as bytes actually arrive, so a hostile length on a short file
+// costs what the file holds rather than what its header says.
+func readBlob(br *bufio.Reader, idx, n int) ([]byte, error) {
 	var (
-		mu       sync.Mutex
-		firstErr error
+		blob []byte
+		got  int
+		err  error
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
+	if n <= blobPrealloc {
+		blob = make([]byte, n)
+		got, err = io.ReadFull(br, blob)
+	} else {
+		var buf bytes.Buffer
+		var copied int64
+		copied, err = io.CopyN(&buf, br, int64(n))
+		blob, got = buf.Bytes(), int(copied)
 	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
+	if err != nil {
+		return nil, corrupt("shard %d: body truncated at byte %d of %d: %v", idx, got, n, err)
 	}
+	return blob, nil
+}
 
-	jobs := make(chan job, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if failed() {
-					continue
-				}
-				raw, err := decompressShard(j.blob, j.h.rawLen)
-				if err == nil {
-					err = handle(j.base, j.h.items, raw)
-				}
-				if err != nil {
-					fail(corruptShard(j.idx, err))
-				}
-			}
-		}()
-	}
-
-	base := 0
-	for i := 0; i < shardCount && !failed(); i++ {
-		h, blob, err := readFrame(br, i, totalItems-base)
+// forEachShard reads a header section's shardCount frames from br in
+// order, decompressing and decoding each before reading the next;
+// handle(items, raw) runs once per shard. Streaming sections go through
+// scanSection, which owns the parallel path.
+func forEachShard(br *bufio.Reader, shardCount, totalItems int, m *snapObs, handle func(items int, raw []byte) error) error {
+	read := 0
+	for i := 0; i < shardCount; i++ {
+		h, blob, err := readFrame(br, i, totalItems-read)
 		if err != nil {
-			fail(err)
-			break
+			return err
 		}
 		m.frame(h.rawLen, h.compLen)
-		jobs <- job{idx: i, base: base, h: h, blob: blob}
-		base += h.items
+		raw, err := decompressShard(blob, h.rawLen)
+		if err != nil {
+			return corruptShard(i, err)
+		}
+		if err := handle(h.items, raw); err != nil {
+			return corruptShard(i, err)
+		}
+		read += h.items
 	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if base != totalItems {
-		return corrupt("section holds %d items, header declared %d", base, totalItems)
+	if read != totalItems {
+		return corrupt("section holds %d items, header declared %d", read, totalItems)
 	}
 	return nil
 }
 
-// Read decodes a v2 or v3 snapshot from r, sniffing the version from
-// the magic. workers bounds the shard decompress/decode pool (0 = all
-// cores, 1 = serial).
+// Read decodes a snapshot from r, materializing it in memory. workers
+// bounds the shard decompress/decode pool (0 = all cores, 1 = serial).
 func Read(r io.Reader, workers int) (*Snapshot, error) {
 	return read(r, workers, &snapObs{})
 }
 
+// read is the full-materialization path: the streaming scan with no
+// pruning, reassembling the in-memory Snapshot.
 func read(r io.Reader, workers int, m *snapObs) (*Snapshot, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	var magic [len(Magic)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, corrupt("magic: %v", err)
-	}
-	switch string(magic[:]) {
-	case Magic:
-		return readV2(br, workers, m)
-	case MagicV3:
-		return readV3(br, workers, m)
-	default:
-		return nil, corrupt("bad magic %q (not a snapshot container)", magic[:])
-	}
-}
-
-// readV2 decodes the superseded v2 body (everything after the magic).
-func readV2(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
-	s := &Snapshot{}
-	var interned []solana.Pubkey
-	seen := make(map[byte]bool)
-	for {
-		id, err := br.ReadByte()
-		if err != nil {
-			return nil, corrupt("section id: %v", err)
-		}
-		if id == secEnd {
-			break
-		}
-		if seen[id] {
-			return nil, corrupt("duplicate section %#x", id)
-		}
-		seen[id] = true
-
-		shards64, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, corrupt("shard count: %v", err)
-		}
-		total64, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, corrupt("item count: %v", err)
-		}
-		if shards64 > 1<<24 || total64 > 1<<40 {
-			return nil, corrupt("implausible section shape %d/%d", shards64, total64)
-		}
-		shards, total := int(shards64), int(total64)
-
-		switch id {
-		case secMeta:
-			err = forEachShard(br, shards, total, 1, m, func(_, _ int, raw []byte) error {
-				if len(raw) != 24 {
-					return corrupt("meta payload %d bytes, want 24", len(raw))
-				}
-				s.Genesis = int64(binary.LittleEndian.Uint64(raw[0:]))
-				s.Collected = binary.LittleEndian.Uint64(raw[8:])
-				s.Duplicates = binary.LittleEndian.Uint64(raw[16:])
-				return nil
-			})
-		case secDays:
-			if total > 0 {
-				s.Days = make(map[int]*DayAgg, total)
+	s := &Snapshot{Details: make(map[solana.Signature]jito.TxDetail)}
+	opts := ScanOptions{
+		Workers: workers,
+		SectionStart: func(sec Section, _, items int) error {
+			switch {
+			case sec == SectionLen3 && items > 0:
+				s.Len3 = make([]jito.BundleRecord, 0, min(items, maxPrealloc))
+			case sec == SectionLong && items > 0:
+				s.Long = make([]jito.BundleRecord, 0, min(items, maxPrealloc))
 			}
-			err = forEachShard(br, shards, total, 1, m, func(_, items int, raw []byte) error {
-				return decodeDays(s.Days, items, raw)
-			})
-		case secTipsLen1:
-			s.TipsLen1, err = readHistogram(br, shards, total, m)
-		case secTipsLen3:
-			s.TipsLen3, err = readHistogram(br, shards, total, m)
-		case secInterns:
-			if total > 0 {
-				interned = make([]solana.Pubkey, total)
-			}
-			err = forEachShard(br, shards, total, workers, m, func(base, items int, raw []byte) error {
-				if len(raw) != 32*items {
-					return corrupt("intern shard %d bytes for %d keys", len(raw), items)
-				}
-				for i := 0; i < items; i++ {
-					copy(interned[base+i][:], raw[32*i:])
-				}
-				return nil
-			})
-		case secLen3, secLong:
-			var recs []jito.BundleRecord
-			if total > 0 {
-				recs = make([]jito.BundleRecord, total)
-			}
-			err = forEachShard(br, shards, total, workers, m, func(base, items int, raw []byte) error {
-				return decodeRecordShard(recs[base:base+items], raw)
-			})
-			if id == secLen3 {
-				s.Len3 = recs
-			} else {
-				s.Long = recs
-			}
-		case secDetails:
-			s.Details = make(map[solana.Signature]jito.TxDetail, total)
-			var mu sync.Mutex
-			err = forEachShard(br, shards, total, workers, m, func(_, items int, raw []byte) error {
-				return decodeDetailShard(s.Details, &mu, items, raw, interned)
-			})
-		default:
-			return nil, corrupt("unknown section %#x", id)
-		}
-		if err != nil {
-			return nil, err
-		}
+			return nil
+		},
 	}
-	// The writer emits every section unconditionally (empty sections have
-	// zero shards), so a missing one means the stream was cut at a section
-	// boundary — a truncation shape that would otherwise load as a
-	// silently smaller dataset if the next byte happened to read as 0xFF.
-	for _, id := range []byte{secMeta, secDays, secTipsLen1, secTipsLen3,
-		secInterns, secLen3, secLong, secDetails} {
-		if !seen[id] {
-			return nil, corrupt("missing section %#x (truncated at a section boundary?)", id)
+	err := scan(bufferedReader(r, 1<<16), &opts, m, func(p *Prelude) error {
+		s.Genesis = p.Genesis
+		s.Collected = p.Collected
+		s.Duplicates = p.Duplicates
+		s.Days = p.Days
+		s.TipsLen1 = p.TipsLen1
+		s.TipsLen3 = p.TipsLen3
+		return nil
+	}, func(sec Section, _ ShardMeta, b *Batch, _ any) error {
+		switch sec {
+		case SectionLen3:
+			s.Len3 = append(s.Len3, b.Recs...)
+		case SectionLong:
+			s.Long = append(s.Long, b.Recs...)
 		}
+		dets := b.Details()
+		for i := range dets {
+			s.Details[dets[i].Sig] = dets[i]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// bufferedReader reuses r when it already buffers, so callers that
+// peeked or wrapped it keep their position.
+func bufferedReader(r io.Reader, size int) *bufio.Reader {
+	if br, ok := r.(*bufio.Reader); ok {
+		return br
+	}
+	return bufio.NewReaderSize(r, size)
 }
 
 // readHistogram decodes a histogram section: 0 shards means nil.
@@ -309,7 +200,7 @@ func readHistogram(br *bufio.Reader, shards, total int, m *snapObs) (*stats.LogH
 		return nil, nil
 	}
 	h := new(stats.LogHistogram)
-	err := forEachShard(br, shards, total, 1, m, func(_, _ int, raw []byte) error {
+	err := forEachShard(br, shards, total, m, func(_ int, raw []byte) error {
 		return h.UnmarshalBinary(raw)
 	})
 	if err != nil {
@@ -383,18 +274,8 @@ func decodeDays(dst map[int]*DayAgg, items int, raw []byte) error {
 	return c.done()
 }
 
-// decodeRecordShard parses a columnar record shard into dst (one entry
-// per record).
-func decodeRecordShard(dst []jito.BundleRecord, raw []byte) error {
-	c := varintCursor{raw: raw}
-	if err := decodeRecordColumns(dst, &c); err != nil {
-		return err
-	}
-	return c.done()
-}
-
 // decodeRecordColumns parses the record columns at the cursor into dst
-// (one entry per record), leaving the cursor just past them — v3 bundle
+// (one entry per record), leaving the cursor just past them — bundle
 // shards continue decoding detail columns from there. Signatures for the
 // whole shard share one backing array.
 func decodeRecordColumns(dst []jito.BundleRecord, c *varintCursor) error {
@@ -457,38 +338,11 @@ func decodeRecordColumns(dst []jito.BundleRecord, c *varintCursor) error {
 	return nil
 }
 
-// decodeDetailShard parses a detail shard and inserts the entries into
-// dst under mu. Parsing — the expensive part — runs outside the lock.
-func decodeDetailShard(dst map[solana.Signature]jito.TxDetail, mu *sync.Mutex, items int, raw []byte, interned []solana.Pubkey) error {
-	c := varintCursor{raw: raw}
-	sigCol, err := c.take(64 * items)
-	if err != nil {
-		return err
-	}
-	dets := make([]jito.TxDetail, items)
-	for i := range dets {
-		copy(dets[i].Sig[:], sigCol[64*i:])
-	}
-	if err := decodeDetailColumns(dets, &c, interned); err != nil {
-		return err
-	}
-	if err := c.done(); err != nil {
-		return err
-	}
-	mu.Lock()
-	for i := range dets {
-		dst[dets[i].Sig] = dets[i]
-	}
-	mu.Unlock()
-	return nil
-}
-
 // decodeDetailColumns parses the detail columns at the cursor into dets
 // (whose length fixes the item count): signer index, slot, flags, tip,
-// delta counts, then the ragged delta triples — the layout shared by the
-// v2 details section and the v3 bundle/orphan shards. Pubkey indices
-// resolve against interned (the global v2 table or a v3 shard-local
-// dictionary).
+// delta counts, then the ragged delta triples — the layout shared by
+// bundle and orphan shards. Pubkey indices resolve against interned, the
+// shard's local dictionary.
 func decodeDetailColumns(dets []jito.TxDetail, c *varintCursor, interned []solana.Pubkey) error {
 	items := len(dets)
 	var err error
@@ -534,7 +388,11 @@ func decodeDetailColumns(dets []jito.TxDetail, c *varintCursor, interned []solan
 		if err != nil {
 			return err
 		}
-		if n > uint64(len(c.raw)) { // each delta needs ≥3 bytes; cheap sanity bound
+		// Each delta needs at least 3 bytes, so the running total can
+		// never exceed a third of what is left: checked before the
+		// backing array is sized from it.
+		left := uint64(len(c.raw)-c.off) / 3
+		if n > left || uint64(totalDeltas)+n > left {
 			return corrupt("delta count %d exceeds shard size", n)
 		}
 		counts[i] = int(n)

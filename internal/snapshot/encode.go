@@ -16,8 +16,8 @@ import (
 )
 
 // Shards compress at gzip.BestSpeed: the columnar layout already groups
-// similar bytes, so the fast level lands near v1's on-disk size while
-// cutting the dominant CPU cost of a checkpoint by several times.
+// similar bytes, so the fast level compresses nearly as well as a slow
+// one while cutting the dominant CPU cost of a checkpoint by several times.
 const shardGzipLevel = gzip.BestSpeed
 
 var gzipWriters = sync.Pool{
@@ -39,9 +39,9 @@ func compressShard(raw []byte) []byte {
 	return buf.Bytes()
 }
 
-// interner assigns dense indices to pubkeys in first-use order. Built
-// serially (over the sorted detail order) so indices are deterministic;
-// read concurrently by the detail shard encoders.
+// interner assigns dense indices to pubkeys in first-use order. Every
+// shard builds its own over the shard's details in their stored order,
+// so indices are deterministic.
 type interner struct {
 	idx  map[solana.Pubkey]uint64
 	keys []solana.Pubkey
@@ -132,7 +132,7 @@ func (w *writer) section(id byte, totalItems, shardSize, workers int, encode fun
 	})
 }
 
-// Write encodes s to w in the v3 container format: self-contained
+// Write encodes s to w in the snapshot container: self-contained
 // bundle shards with pushdown metadata. workers bounds the shard
 // encode/compress pool (0 = all cores, 1 = serial); the bytes written
 // are identical for every worker count.
@@ -140,15 +140,8 @@ func Write(w io.Writer, s *Snapshot, workers int) error {
 	return write(w, s, workers, &snapObs{})
 }
 
-// WriteV2 encodes s in the superseded v2 container format. Retained so
-// tests and benchmarks can produce the older format against the
-// still-supported read path; new checkpoints should use Write.
-func WriteV2(w io.Writer, s *Snapshot, workers int) error {
-	return writeV2(w, s, workers, &snapObs{})
-}
-
-// headerSections emits the aggregate sections shared by v2 and v3: meta,
-// days, and the two tip histograms.
+// headerSections emits the aggregate sections ahead of the streaming
+// ones: meta, days, and the two tip histograms.
 func (w *writer) headerSections(s *Snapshot) {
 	// meta: three fixed uint64s.
 	w.section(secMeta, 1, 1, 1, func(_, _ int) ([]byte, error) {
@@ -186,55 +179,6 @@ func (w *writer) headerSections(s *Snapshot) {
 	w.histogram(secTipsLen3, s.TipsLen3)
 }
 
-func writeV2(w io.Writer, s *Snapshot, workers int, m *snapObs) error {
-	bw := &writer{w: bufio.NewWriterSize(w, 1<<16), m: m}
-	bw.bytes([]byte(Magic))
-	bw.headerSections(s)
-
-	// Details in sorted-signature order: the canonical encode order that
-	// makes both the shard payloads and the intern table deterministic.
-	sigs := make([]solana.Signature, 0, len(s.Details))
-	for sig := range s.Details {
-		sigs = append(sigs, sig)
-	}
-	sort.Slice(sigs, func(i, j int) bool {
-		return bytes.Compare(sigs[i][:], sigs[j][:]) < 0
-	})
-	in := newInterner()
-	for _, sig := range sigs {
-		det := s.Details[sig]
-		in.intern(det.Signer)
-		for _, td := range det.TokenDeltas {
-			in.intern(td.Owner)
-			in.intern(td.Mint)
-		}
-	}
-
-	bw.section(secInterns, len(in.keys), internShardSize, workers, func(lo, hi int) ([]byte, error) {
-		raw := make([]byte, 0, 32*(hi-lo))
-		for _, k := range in.keys[lo:hi] {
-			raw = append(raw, k[:]...)
-		}
-		return raw, nil
-	})
-
-	bw.recordSection(secLen3, s.Len3, workers)
-	bw.recordSection(secLong, s.Long, workers)
-
-	bw.section(secDetails, len(sigs), detailShardSize, workers, func(lo, hi int) ([]byte, error) {
-		return encodeDetailShard(sigs[lo:hi], s.Details, in)
-	})
-
-	bw.byte1(secEnd)
-	if bw.err == nil {
-		bw.err = bw.w.Flush()
-	}
-	if bw.err != nil {
-		return &writeError{bw.err}
-	}
-	return nil
-}
-
 // writeError brands container-level write failures.
 type writeError struct{ err error }
 
@@ -250,13 +194,6 @@ func (w *writer) histogram(id byte, h *stats.LogHistogram) {
 	}
 	w.section(id, n, 1, 1, func(_, _ int) ([]byte, error) {
 		return h.AppendBinary(nil), nil
-	})
-}
-
-// recordSection emits a columnar record section over the worker pool.
-func (w *writer) recordSection(id byte, recs []jito.BundleRecord, workers int) {
-	w.section(id, len(recs), recordShardSize, workers, func(lo, hi int) ([]byte, error) {
-		return encodeRecordShard(recs[lo:hi])
 	})
 }
 
@@ -303,24 +240,9 @@ func encodeRecordShard(recs []jito.BundleRecord) ([]byte, error) {
 	return raw, nil
 }
 
-// encodeDetailShard lays out the details for sigs (already sorted) with
-// pubkeys replaced by intern indices. One map pass gathers the shard's
-// details so the column loops touch only the flat slice.
-func encodeDetailShard(sigs []solana.Signature, details map[solana.Signature]jito.TxDetail, in *interner) ([]byte, error) {
-	dets := make([]jito.TxDetail, len(sigs))
-	for i, sig := range sigs {
-		dets[i] = details[sig]
-	}
-	raw := make([]byte, 0, len(sigs)*96)
-	for _, sig := range sigs {
-		raw = append(raw, sig[:]...)
-	}
-	return appendDetailColumns(raw, dets, in), nil
-}
-
-// appendDetailColumns emits the detail columns shared by the v2 details
-// section and the v3 bundle/orphan shards: signer index, slot, flags,
-// tip, delta count, then the ragged delta triples.
+// appendDetailColumns emits the detail columns shared by bundle and
+// orphan shards: signer index, slot, flags, tip, delta count, then the
+// ragged delta triples.
 func appendDetailColumns(raw []byte, dets []jito.TxDetail, in *interner) []byte {
 	for i := range dets {
 		raw = appendUvarint(raw, in.idx[dets[i].Signer])

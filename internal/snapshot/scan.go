@@ -5,24 +5,24 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"sync"
 	"time"
 
-	"jitomev/internal/jito"
 	"jitomev/internal/obs"
 	"jitomev/internal/parallel"
 	"jitomev/internal/solana"
 	"jitomev/internal/stats"
 )
 
-// Streaming scan over a v3 snapshot: the out-of-core read path. The
+// Streaming scan over a snapshot: the out-of-core read path. The
 // caller sees the prelude (every aggregate stored ahead of the bundle
 // sections) once, then one fold call per shard in file order; shard
 // payloads are decompressed and decoded on a bounded worker pool while
 // frames are read serially, so peak live memory is proportional to
 // workers × shard size and independent of the dataset.
 
-// Prelude is everything a v3 snapshot stores ahead of the streaming
+// Prelude is everything a snapshot stores ahead of the streaming
 // sections — small aggregates a bounded-memory pass can hold whole.
 type Prelude struct {
 	Genesis    int64 // UnixNano of the chain clock genesis
@@ -108,53 +108,14 @@ type ScanOptions struct {
 	SectionStart func(sec Section, shards, items int) error
 }
 
-// Scan streams a v3 snapshot from r: prelude once, then one fold call
-// per shard of the len3, long and orphans sections, in file order.
-// Scanning a v1/v2 stream fails with ErrCorrupt — callers wanting
-// transparent fallback should Sniff first and take the full-load path
-// for older containers.
+// Scan streams a snapshot from r: prelude once, then one fold call per
+// shard of the len3, long and orphans sections, in file order.
 func Scan(r io.Reader, opts ScanOptions, prelude func(*Prelude) error, fold ScanFold) error {
-	m := newSnapObs(opts.Reg, "scan")
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<20)
-	}
-	var magic [len(MagicV3)]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return corrupt("magic: %v", err)
-	}
-	if string(magic[:]) != MagicV3 {
-		return corrupt("streaming scan needs a v3 snapshot, found magic %q", magic[:])
-	}
-	return scanSections(br, &opts, m, prelude, fold)
+	return scan(bufferedReader(r, 1<<20), &opts, newSnapObs(opts.Reg, "scan"), prelude, fold)
 }
 
-// Sniff peeks at the opening bytes of br and reports the container
-// version without consuming input: 1 for the legacy gzip/gob stream, 2
-// or 3 for the sharded containers.
-func Sniff(br *bufio.Reader) (int, error) {
-	head, err := br.Peek(2)
-	if err != nil {
-		return 0, corrupt("sniffing version: %v", err)
-	}
-	if head[0] == 0x1f && head[1] == 0x8b {
-		return 1, nil
-	}
-	head, err = br.Peek(len(Magic))
-	if err != nil {
-		return 0, corrupt("sniffing version: %v", err)
-	}
-	switch string(head) {
-	case Magic:
-		return 2, nil
-	case MagicV3:
-		return 3, nil
-	}
-	return 0, corrupt("unrecognized container magic %q", head)
-}
-
-// readSectionHeader consumes one section header, enforcing the v3
-// strict section order (which is also what turns a cut at a section
+// readSectionHeader consumes one section header, enforcing the strict
+// section order (which is also what turns a cut at a section
 // boundary into a loud error).
 func readSectionHeader(br *bufio.Reader, want byte) (shards, total int, err error) {
 	id, err := br.ReadByte()
@@ -162,7 +123,7 @@ func readSectionHeader(br *bufio.Reader, want byte) (shards, total int, err erro
 		return 0, 0, corrupt("section id: %v", err)
 	}
 	if id != want {
-		return 0, 0, corrupt("section %#x, want %#x (v3 sections are strictly ordered)", id, want)
+		return 0, 0, corrupt("section %#x, want %#x (sections are strictly ordered)", id, want)
 	}
 	shards64, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -178,15 +139,23 @@ func readSectionHeader(br *bufio.Reader, want byte) (shards, total int, err erro
 	return int(shards64), int(total64), nil
 }
 
-// scanSections walks the v3 body (everything after the magic).
-func scanSections(br *bufio.Reader, opts *ScanOptions, m *snapObs, preludeFn func(*Prelude) error, fold ScanFold) error {
-	p := &Prelude{}
+// scan walks a whole container: magic, header sections, then the
+// streaming sections. Any magic but the one Write emits is corrupt.
+func scan(br *bufio.Reader, opts *ScanOptions, m *snapObs, preludeFn func(*Prelude) error, fold ScanFold) error {
+	var magic [len(MagicV3)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return corrupt("magic: %v", err)
+	}
+	if string(magic[:]) != MagicV3 {
+		return corrupt("bad magic %q, want %q", magic[:], MagicV3)
+	}
 
+	p := &Prelude{}
 	shards, total, err := readSectionHeader(br, secMeta)
 	if err != nil {
 		return err
 	}
-	if err := forEachShard(br, shards, total, 1, m, func(_, _ int, raw []byte) error {
+	if err := forEachShard(br, shards, total, m, func(_ int, raw []byte) error {
 		if len(raw) != 24 {
 			return corrupt("meta payload %d bytes, want 24", len(raw))
 		}
@@ -202,9 +171,9 @@ func scanSections(br *bufio.Reader, opts *ScanOptions, m *snapObs, preludeFn fun
 		return err
 	}
 	if total > 0 {
-		p.Days = make(map[int]*DayAgg, total)
+		p.Days = make(map[int]*DayAgg, min(total, maxPrealloc))
 	}
-	if err := forEachShard(br, shards, total, 1, m, func(_, items int, raw []byte) error {
+	if err := forEachShard(br, shards, total, m, func(items int, raw []byte) error {
 		return decodeDays(p.Days, items, raw)
 	}); err != nil {
 		return err
@@ -255,6 +224,11 @@ func scanSections(br *bufio.Reader, opts *ScanOptions, m *snapObs, preludeFn fun
 	return nil
 }
 
+// maxDay is the latest study day a slot can fall in: the day bounds the
+// writer records (solana.Clock.DayOf over uint64 slots) never leave
+// [0, maxDay].
+var maxDay = solana.Clock{}.DayOf(math.MaxUint64)
+
 // errScanAborted marks shards skipped because an earlier shard already
 // failed; it never escapes the scanner.
 var errScanAborted = errors.New("snapshot: scan aborted")
@@ -269,7 +243,7 @@ type scanShard struct {
 	err    error
 }
 
-// scanSection streams one v3 section: a serial read gate hands frames to
+// scanSection streams one section: a serial read gate hands frames to
 // the pool in file order (pruned frames are discarded right at the
 // gate), payloads inflate and decode concurrently, and
 // parallel.OrderedStream folds results back in strict shard order — the
@@ -277,6 +251,10 @@ type scanShard struct {
 // worker count.
 func scanSection(br *bufio.Reader, sec Section, shards, total int, opts *ScanOptions, m *snapObs, fold ScanFold) error {
 	workers := parallel.Workers(opts.Workers)
+	shardItems := bundleShardSize
+	if sec == SectionOrphans {
+		shardItems = orphanShardSize
+	}
 	withDetails := true
 	if opts.RecordsOnly != nil && sec != SectionOrphans {
 		withDetails = !opts.RecordsOnly(sec)
@@ -304,7 +282,7 @@ func scanSection(br *bufio.Reader, sec Section, shards, total int, opts *ScanOpt
 		if readErr != nil {
 			sh.err = errScanAborted
 		} else {
-			sh.meta, sh.err = readFrameV3(br, i, total-base)
+			sh.meta, sh.err = readFrameV3(br, i, min(total-base, shardItems))
 			if sh.err == nil {
 				base += sh.meta.Items
 				if opts.Prune != nil && opts.Prune(sec, sh.meta) {
@@ -312,15 +290,8 @@ func scanSection(br *bufio.Reader, sec Section, shards, total int, opts *ScanOpt
 					if _, err := br.Discard(sh.meta.CompLen); err != nil {
 						sh.err = corrupt("shard %d: body truncated in skip: %v", i, err)
 					}
-				} else {
-					blob := make([]byte, sh.meta.CompLen)
-					if n, err := io.ReadFull(br, blob); err != nil {
-						sh.err = corrupt("shard %d: body truncated at byte %d of %d: %v",
-							i, n, sh.meta.CompLen, err)
-					} else {
-						sh.blob = blob
-						m.frame(sh.meta.RawLen, sh.meta.CompLen)
-					}
+				} else if sh.blob, sh.err = readBlob(br, i, sh.meta.CompLen); sh.err == nil {
+					m.frame(sh.meta.RawLen, sh.meta.CompLen)
 				}
 			}
 			if sh.err != nil {
@@ -380,10 +351,12 @@ func scanSection(br *bufio.Reader, sec Section, shards, total int, opts *ScanOpt
 	return nil
 }
 
-// readFrameV3 reads one extended frame header (the pushdown metadata
-// block), validating it against the section totals so a hostile or
-// truncated header cannot demand absurd work.
-func readFrameV3(br *bufio.Reader, idx, itemsLeft int) (ShardMeta, error) {
+// readFrameV3 reads one streaming frame header (the pushdown metadata
+// block), validating it against maxItems — the smaller of what the
+// section total leaves and the writer's shard size — and against the
+// day range the writer can produce, so a hostile or truncated header
+// cannot demand absurd work.
+func readFrameV3(br *bufio.Reader, idx, maxItems int) (ShardMeta, error) {
 	var m ShardMeta
 	next := func(what string) (uint64, error) {
 		v, err := binary.ReadUvarint(br)
@@ -396,8 +369,8 @@ func readFrameV3(br *bufio.Reader, idx, itemsLeft int) (ShardMeta, error) {
 	if err != nil {
 		return m, err
 	}
-	if items > uint64(itemsLeft) {
-		return m, corrupt("shard %d: items %d overflow section total", idx, items)
+	if items > uint64(maxItems) {
+		return m, corrupt("shard %d: items %d overflow section total or shard size", idx, items)
 	}
 	m.Items = int(items)
 	for _, dst := range []*int{&m.MinDay, &m.MaxDay} {
@@ -406,7 +379,7 @@ func readFrameV3(br *bufio.Reader, idx, itemsLeft int) (ShardMeta, error) {
 			return m, err
 		}
 		d := unzigzag(v)
-		if d < -(1<<32) || d > 1<<32 {
+		if d < 0 || d > int64(maxDay) {
 			return m, corrupt("shard %d: implausible day bound %d", idx, d)
 		}
 		*dst = int(d)
@@ -443,49 +416,6 @@ func readFrameV3(br *bufio.Reader, idx, itemsLeft int) (ShardMeta, error) {
 		*f.dst = int(v)
 	}
 	return m, nil
-}
-
-// readV3 is the full-materialization read path for v3 snapshots: the
-// streaming scan with no pruning, reassembling the in-memory Snapshot.
-func readV3(br *bufio.Reader, workers int, m *snapObs) (*Snapshot, error) {
-	s := &Snapshot{Details: make(map[solana.Signature]jito.TxDetail)}
-	opts := ScanOptions{
-		Workers: workers,
-		SectionStart: func(sec Section, _, items int) error {
-			switch {
-			case sec == SectionLen3 && items > 0:
-				s.Len3 = make([]jito.BundleRecord, 0, items)
-			case sec == SectionLong && items > 0:
-				s.Long = make([]jito.BundleRecord, 0, items)
-			}
-			return nil
-		},
-	}
-	err := scanSections(br, &opts, m, func(p *Prelude) error {
-		s.Genesis = p.Genesis
-		s.Collected = p.Collected
-		s.Duplicates = p.Duplicates
-		s.Days = p.Days
-		s.TipsLen1 = p.TipsLen1
-		s.TipsLen3 = p.TipsLen3
-		return nil
-	}, func(sec Section, _ ShardMeta, b *Batch, _ any) error {
-		switch sec {
-		case SectionLen3:
-			s.Len3 = append(s.Len3, b.Recs...)
-		case SectionLong:
-			s.Long = append(s.Long, b.Recs...)
-		}
-		dets := b.Details()
-		for i := range dets {
-			s.Details[dets[i].Sig] = dets[i]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // unixNanoTime converts a persisted genesis back to wall time.

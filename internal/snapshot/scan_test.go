@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 // alignedSnapshot builds a snapshot whose records actually reference
 // their details — the shape real collections have and the self-contained
-// v3 shards exist for. Records spread evenly across [0, days) study
+// bundle shards exist for. Records spread evenly across [0, days) study
 // days; each member transaction carries a detail with probability
 // detailFrac, and a handful of orphan details ride along.
 func alignedSnapshot(seed int64, nRecords, days int, detailFrac float64) *Snapshot {
@@ -53,24 +54,6 @@ func alignedSnapshot(seed int64, nRecords, days int, detailFrac float64) *Snapsh
 		s.Details[det.Sig] = det
 	}
 	return s
-}
-
-// TestWriteV2ReadBack pins the compatibility promise: v2 containers stay
-// readable even though Write now emits v3.
-func TestWriteV2ReadBack(t *testing.T) {
-	s := alignedSnapshot(21, 6000, 9, 0.9)
-	var buf bytes.Buffer
-	if err := WriteV2(&buf, s, 0); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String()[:8] != Magic {
-		t.Fatalf("WriteV2 emitted magic %q", buf.String()[:8])
-	}
-	got, err := Read(&buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapshotsEqual(t, s, got)
 }
 
 // TestScanRoundTrip rebuilds a snapshot from a full streaming scan and
@@ -287,17 +270,23 @@ func TestScanIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestScanRejectsOlderContainers: the streaming path is v3-only; Sniff
-// is the sanctioned router for older files.
+// TestScanRejectsOlderContainers: the reader accepts exactly the magic
+// the writer writes, so the opening bytes of the superseded layouts — a
+// gzip+gob stream and a "jitosnp2" container — are corrupt input to both
+// read paths.
 func TestScanRejectsOlderContainers(t *testing.T) {
-	s := testSnapshot(26, 100, 50)
-	var buf bytes.Buffer
-	if err := WriteV2(&buf, s, 1); err != nil {
-		t.Fatal(err)
-	}
-	err := Scan(&buf, ScanOptions{}, nil, func(Section, ShardMeta, *Batch, any) error { return nil })
-	if err == nil {
-		t.Fatal("scan of a v2 container succeeded")
+	for name, head := range map[string][]byte{
+		"gzip+gob":   {0x1f, 0x8b, 0x08, 0, 0, 0, 0, 0, 0, 0xff, 0x01, 0x02},
+		"jitosnp2":   append([]byte("jitosnp2"), secMeta, 1, 1, 1, 24, 10),
+		"empty file": nil,
+	} {
+		err := Scan(bytes.NewReader(head), ScanOptions{}, nil, func(Section, ShardMeta, *Batch, any) error { return nil })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Scan err = %v, want ErrCorrupt", name, err)
+		}
+		if _, err := Read(bytes.NewReader(head), 1); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Read err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

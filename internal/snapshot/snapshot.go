@@ -1,57 +1,41 @@
-// Package snapshot implements the dataset checkpoint formats (v2 and
-// v3): length-prefixed, versioned containers of independently
-// gzip-compressed shards, written and read in parallel. The paper's
-// four-month collection is the asset the whole pipeline exists to
-// protect, and the v1 format — one gzip stream around one reflective gob
-// encoding of the entire dataset — pushed every byte through a single
-// core. v2 split the dataset into fixed-size shards whose encoding is a
-// pure function of the data (never of the worker count), compressed them
-// concurrently, and concatenated them in shard order, so Save and Load
-// both scale with cores, output bytes are identical at every worker
-// count, and peak transient memory is bounded by the compression window
-// rather than the dataset.
+// Package snapshot implements the dataset checkpoint container: a
+// length-prefixed, versioned sequence of independently gzip-compressed
+// shards, written and read in parallel. The paper's four-month
+// collection is the asset the whole pipeline exists to protect. Shards
+// have fixed sizes, so their encoding is a pure function of the data
+// (never of the worker count): Save and Load both scale with cores,
+// output bytes are identical at every worker count, and peak transient
+// memory is bounded by the shard size rather than the dataset.
 //
-// v3 — the current write format — restructures the bundle payload for
-// out-of-core analytics: every shard is a self-contained streaming unit
-// (records plus their aligned transaction details plus a local pubkey
-// dictionary), and every shard frame carries a pushdown-metadata header
-// (record count, min/max study day, bundle-length histogram) that a
-// streaming scanner can use to skip the shard without even inflating it.
-// v2 files stay readable; see the versioning policy below.
+// The bundle payload is laid out for out-of-core analytics: every shard
+// is a self-contained streaming unit (records plus their aligned
+// transaction details plus a local pubkey dictionary), and every shard
+// frame carries a pushdown-metadata header (record count, min/max study
+// day, bundle-length histogram) that a streaming scanner can use to
+// skip the shard without even inflating it.
 //
-// # Container layout (v2)
+// # Container layout
 //
 // All multi-byte integers are little-endian when fixed-width and unsigned
 // LEB128 ("uvarint") when variable; signed varints use zigzag. The file
-// is a magic string followed by sections in a fixed order:
+// is the magic "jitosnp3" (8 bytes) followed by sections in a fixed
+// order — the header sections meta, days, tipsLen1 and tipsLen3, then
+// the streaming sections bundles3, bundlesLong and orphans — and the
+// terminator byte 0xFF. Every section opens with
 //
-//	offset 0: magic "jitosnp2" (8 bytes; v1 files instead start with the
-//	          gzip magic 0x1f 0x8b, which is how LoadDataset sniffs the
-//	          version without consuming the stream)
-//	then, per section:
-//	  id         byte    (see section constants below)
-//	  shardCount uvarint
-//	  totalItems uvarint (sum of the per-shard item counts)
-//	  then shardCount frames, each:
-//	    items   uvarint (records/keys/entries encoded in this shard)
-//	    rawLen  uvarint (decompressed payload length in bytes)
-//	    compLen uvarint
-//	    blob    compLen bytes of gzip(payload)
-//	terminator: the single byte 0xFF
+//	id         byte    (see section constants below)
+//	shardCount uvarint
+//	totalItems uvarint (sum of the per-shard item counts)
 //
-// Sections appear in this order: meta, days, tipsLen1, tipsLen3, interns,
-// len3, long, details. The intern table precedes the sections that
-// reference it. Unknown section ids are a decode error — the version
-// byte in the magic, not section skipping, is the compatibility
-// mechanism.
+// followed by shardCount frames. A header-section frame is
 //
-// # Container layout (v3)
+//	items   uvarint
+//	rawLen  uvarint (decompressed payload length in bytes)
+//	compLen uvarint
+//	blob    compLen bytes of gzip(payload)
 //
-// A v3 file opens with magic "jitosnp3" and holds the header sections
-// meta, days, tipsLen1 and tipsLen3 exactly as v2 does, followed by
-// three streaming sections — bundles3, bundlesLong, orphans — and the
-// 0xFF terminator. Streaming sections use an extended frame whose
-// header is the pushdown-metadata block:
+// and a streaming-section frame replaces items with the
+// pushdown-metadata block:
 //
 //	items   uvarint          records (or orphan details) in this shard
 //	minDay  zigzag uvarint   earliest study day touched by the shard
@@ -62,47 +46,46 @@
 //	compLen uvarint
 //	blob    compLen bytes of gzip(payload)
 //
-// A bundle shard's payload is self-contained: the v2 record columns,
-// then a local pubkey dictionary (nKeys uvarint + nKeys×32 bytes, in
-// first-use order), then one presence byte per (record, member
-// transaction) pair, then the v2 detail columns over exactly the present
-// details in (record, member) order. Member signatures are not stored
-// with the details — a detail's signature is the transaction id at its
-// position in the owning record, which is also why the v2 global intern
-// table and the globally signature-sorted details section disappear: a
-// scanner can decode, analyze and discard one shard at a time with no
-// dataset-sized state. Details not referenced by any retained record
-// land in the orphans section (signature-sorted, v2 detail layout plus
-// the same local dictionary), preserving exact map round trips.
-//
-// The metadata header is what predicate pushdown reads: a day-ranged
-// query drops shards whose [minDay, maxDay] misses the range, and a
-// query that needs no long bundles drops every shard with no length-3
-// entries, in both cases skipping the gzip inflate entirely.
+// Sections are strictly ordered and an unknown or missing section is a
+// decode error, which is also what turns a cut at a section boundary
+// into a loud failure. The metadata block is what predicate pushdown
+// reads: a day-ranged query drops shards whose [minDay, maxDay] misses
+// the range, and a query that needs no long bundles drops every shard
+// of the bundlesLong section, in both cases skipping the gzip inflate
+// entirely.
 //
 // # Shard payloads
 //
-// Record shards (len3/long) are columnar with fixed-width columns, one
-// column fully emitted before the next — this groups similar bytes and
-// lets a fast gzip level reach the ratio v1 needed a slow level for:
+// A bundle shard's payload is self-contained: the record columns, then
+// a local pubkey dictionary (nKeys uvarint + nKeys×32 bytes, in
+// first-use order), then one presence byte per (record, member
+// transaction) pair, then the detail columns over exactly the present
+// details in (record, member) order. Member signatures are not stored
+// with the details — a detail's signature is the transaction id at its
+// position in the owning record — so a scanner can decode, analyze and
+// discard one shard at a time with no dataset-sized state. Details not
+// referenced by any retained record land in the orphans section
+// (signature-sorted: local dictionary, signature column, detail
+// columns), preserving exact map round trips.
+//
+// Record columns are fixed-width, one column fully emitted before the
+// next — this groups similar bytes so a fast gzip level compresses
+// well:
 //
 //	seq[items]   uint64     id[items]     [32]byte
 //	slot[items]  uint64     unixMs[items] int64 (as uint64 bits)
 //	tip[items]   uint64     nTx[items]    byte
 //	txids        concatenated [64]byte signatures, sum(nTx) of them
 //
-// The intern shard payload is items × 32-byte pubkeys, in first-use
-// order (deterministic because details are encoded in sorted-signature
-// order). Detail shards reference pubkeys as uvarint intern indices so a
-// signer or mint that appears in thousands of transactions is stored
-// once:
+// Detail columns reference pubkeys as uvarint indices into the shard's
+// dictionary, so a signer or mint that appears in many transactions is
+// stored once per shard:
 //
-//	sig[items]    [64]byte          signerIdx[items] uvarint
-//	slot[items]   uint64            flags[items]     byte (bit0 failed,
-//	tip[items]    uvarint                             bit1 tipOnly)
-//	nDelta[items] uvarint
-//	deltas        per delta: ownerIdx uvarint, mintIdx uvarint,
-//	              delta zigzag-varint
+//	signerIdx[items] uvarint        slot[items] uint64
+//	flags[items]     byte (bit0 failed, bit1 tipOnly)
+//	tip[items]       uvarint        nDelta[items] uvarint
+//	deltas           per delta: ownerIdx uvarint, mintIdx uvarint,
+//	                 delta zigzag-varint
 //
 // The meta payload is genesis unixNano, collected, duplicates (3 ×
 // uint64). The days payload is, per day in ascending order: zigzag day
@@ -112,11 +95,11 @@
 //
 // # Versioning policy
 //
-// The magic string carries the version; readers sniff the first two
-// bytes and route v1 (gzip magic) to the legacy gob decoder, which is
-// retained read-only. Any layout change bumps the magic to "jitosnp3" —
-// old readers fail loudly on new files rather than misparsing them, and
-// new readers keep decoding every format ever shipped.
+// The reader accepts exactly the magic the writer writes; any other
+// opening bytes fail with ErrCorrupt. A layout change bumps the magic
+// (the version digit) and regenerates the golden fixture that pins the
+// writer's bytes, so readers and files of different layouts refuse each
+// other loudly instead of misparsing.
 package snapshot
 
 import (
@@ -129,48 +112,42 @@ import (
 	"jitomev/internal/stats"
 )
 
-// Magic opens every v2 snapshot. The first byte (0x6a) is distinct from
-// the gzip magic's 0x1f, so version sniffing needs only one byte.
-const Magic = "jitosnp2"
-
-// MagicV3 opens every v3 snapshot — the current write format, with
-// self-contained bundle shards and per-shard pushdown metadata.
+// MagicV3 opens every snapshot: the one container layout this package
+// reads and writes.
 const MagicV3 = "jitosnp3"
 
-// Section identifiers, in file order. The 0x0A+ block is v3-only.
+// Section identifiers, in file order.
 const (
-	secMeta     = 0x01
-	secDays     = 0x02
-	secTipsLen1 = 0x03
-	secTipsLen3 = 0x04
-	secInterns  = 0x05 // v2 only
-	secLen3     = 0x06 // v2 only
-	secLong     = 0x07 // v2 only
-	secDetails  = 0x08 // v2 only
-	secEnd      = 0xFF
-
-	secBundles3    = 0x0A // v3: len-3 records + aligned details
-	secBundlesLong = 0x0B // v3: retained length-4/5 records + details
-	secOrphans     = 0x0C // v3: details referenced by no retained record
+	secMeta        = 0x01
+	secDays        = 0x02
+	secTipsLen1    = 0x03
+	secTipsLen3    = 0x04
+	secBundles3    = 0x0A // len-3 records + aligned details
+	secBundlesLong = 0x0B // retained length-4/5 records + details
+	secOrphans     = 0x0C // details referenced by no retained record
+	secEnd         = 0xFF
 )
 
 // Shard sizing: fixed constants so shard boundaries — and therefore the
 // output bytes — depend only on the data, never on the worker count.
-// 8192 records ≈ 1 MiB raw for the record columns, which keeps per-shard
-// compression state small while amortizing the frame overhead. v3 bundle
-// shards carry their details inline, so they use a smaller record count
-// both to hold the raw payload near the same size and to keep the
-// per-shard day span tight (finer-grained shards prune better).
+// Bundle shards carry their details inline; 4096 records hold the raw
+// payload near 1 MiB, which keeps per-shard compression state small
+// while amortizing the frame overhead, and keeps the per-shard day span
+// tight (finer-grained shards prune better). The reader rejects any
+// frame holding more items than these.
 const (
-	recordShardSize = 8192
-	detailShardSize = 8192
-	internShardSize = 16384
-
 	bundleShardSize = 4096
 	orphanShardSize = 8192
 )
 
-// ShardMeta is the pushdown-metadata block every v3 streaming frame
+// maxPrealloc caps any allocation sized from a section header's item
+// count before frames have delivered those items. Honest snapshots of
+// ~10⁵ records keep their exact preallocation; a hostile total costs at
+// most this many slots up front, and the rest grows only as decoded
+// frames actually arrive.
+const maxPrealloc = 1 << 17
+
+// ShardMeta is the pushdown-metadata block every streaming frame
 // carries: enough for a planner to decide whether a shard can be skipped
 // without inflating it. Day bounds are zero-based study days (the same
 // solana.Clock.DayOf the collector aggregates by); ByLength counts the

@@ -2,8 +2,10 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"jitomev/internal/jito"
 	"jitomev/internal/solana"
@@ -154,7 +156,7 @@ func snapshotsEqual(t *testing.T, want, got *Snapshot) {
 }
 
 func TestRoundTrip(t *testing.T) {
-	s := testSnapshot(1, 3000, 2500) // > one shard once encoded? shard sizes are 8192: single-shard path
+	s := testSnapshot(1, 3000, 2500) // below the shard sizes: the single-shard path
 	for _, workers := range []int{1, 2, 4, 0} {
 		var buf bytes.Buffer
 		if err := Write(&buf, s, workers); err != nil {
@@ -175,7 +177,7 @@ func TestRoundTripMultiShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large round trip")
 	}
-	s := testSnapshot(2, 3*recordShardSize+17, 2*detailShardSize+5)
+	s := testSnapshot(2, 3*bundleShardSize+17, 2*orphanShardSize+5)
 	var buf bytes.Buffer
 	if err := Write(&buf, s, 0); err != nil {
 		t.Fatal(err)
@@ -188,7 +190,7 @@ func TestRoundTripMultiShard(t *testing.T) {
 }
 
 func TestWriteByteIdenticalAcrossWorkers(t *testing.T) {
-	s := testSnapshot(3, 2*recordShardSize+100, detailShardSize+50)
+	s := testSnapshot(3, 2*bundleShardSize+100, orphanShardSize+50)
 	var ref bytes.Buffer
 	if err := Write(&ref, s, 1); err != nil {
 		t.Fatal(err)
@@ -261,17 +263,61 @@ func TestReadRejectsCorruption(t *testing.T) {
 	}
 }
 
+// withSection returns an empty snapshot's bytes with section id's body
+// (shard count, item total, frames) replaced by body. The sections after
+// meta are empty, so each is the 3 bytes id, 0, 0.
+func withSection(t *testing.T, id byte, body ...uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, &Snapshot{}, 1); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	i := bytes.LastIndex(good, []byte{id, 0, 0})
+	if i < 0 {
+		t.Fatalf("section %#x header not found", id)
+	}
+	out := append([]byte(nil), good[:i+1]...)
+	for _, v := range body {
+		out = appendUvarint(out, v)
+	}
+	return append(out, good[i+3:]...)
+}
+
+// TestReadRejectsHostileLengths: a header claiming more than any frame
+// backs — a multi-GB shard, a section of 2⁴⁰ records, 2³⁶ days, a frame
+// over the writer's shard size — must fail fast with ErrCorrupt on both
+// read paths, before allocating for the claim.
 func TestReadRejectsHostileLengths(t *testing.T) {
-	// A frame claiming a multi-GB shard must fail before allocating.
-	data := []byte(Magic)
-	data = append(data, secMeta)
-	data = appendUvarint(data, 1)     // one shard
-	data = appendUvarint(data, 1)     // one item
-	data = appendUvarint(data, 1)     // items
-	data = appendUvarint(data, 1<<40) // rawLen: hostile
-	data = appendUvarint(data, 10)
-	if _, err := Read(bytes.NewReader(data), 0); err == nil {
-		t.Error("hostile length prefix accepted")
+	rawLen := []byte(MagicV3)
+	rawLen = append(rawLen, secMeta)
+	rawLen = appendUvarint(rawLen, 1)     // one shard
+	rawLen = appendUvarint(rawLen, 1)     // one item
+	rawLen = appendUvarint(rawLen, 1)     // items
+	rawLen = appendUvarint(rawLen, 1<<40) // rawLen: hostile
+	rawLen = appendUvarint(rawLen, 10)
+
+	cases := map[string][]byte{
+		"shard rawLen 2^40":   rawLen,
+		"bundles3 total 2^40": withSection(t, secBundles3, 0, 1<<40),
+		"days total 2^36":     withSection(t, secDays, 0, 1<<36),
+		// One bundle frame of 2²⁰ records in a section declaring as many:
+		// within the section total, far over the shard size.
+		"frame over shard size": withSection(t, secBundles3, 1, 1<<20,
+			1<<20, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+	}
+	for name, data := range cases {
+		start := time.Now()
+		if _, err := Read(bytes.NewReader(data), 0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Read err = %v, want ErrCorrupt", name, err)
+		}
+		err := Scan(bytes.NewReader(data), ScanOptions{}, nil, func(Section, ShardMeta, *Batch, any) error { return nil })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Scan err = %v, want ErrCorrupt", name, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s: rejected after %v, want well under 1s", name, d)
+		}
 	}
 }
 

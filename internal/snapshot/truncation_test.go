@@ -14,7 +14,7 @@ import (
 // parses cleanly up to the cut, and only the section-completeness and
 // item-total checks can tell it from a smaller dataset.
 func TestTruncationAlwaysDetected(t *testing.T) {
-	s := testSnapshot(11, recordShardSize+37, detailShardSize/8)
+	s := testSnapshot(11, bundleShardSize+37, orphanShardSize/8)
 	var buf bytes.Buffer
 	if err := Write(&buf, s, 0); err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestTruncationAlwaysDetected(t *testing.T) {
 // failure inside shard k names shard k, so a four-month checkpoint that
 // breaks can be triaged without a hex dump.
 func TestCorruptErrorsCarryShardIndex(t *testing.T) {
-	s := testSnapshot(12, 3*recordShardSize, 100)
+	s := testSnapshot(12, 3*bundleShardSize, 100)
 	var buf bytes.Buffer
 	if err := Write(&buf, s, 1); err != nil {
 		t.Fatal(err)

@@ -11,13 +11,12 @@ import (
 	"jitomev/internal/solana"
 )
 
-// v3 encode: self-contained bundle shards. Each shard carries its
-// records, the details aligned to them, and a local pubkey dictionary,
-// so a streaming reader can decode → analyze → discard one shard at a
-// time with no dataset-sized state — the property the v2 layout (global
-// intern table, globally signature-sorted details) could not offer.
+// Streaming-section encode: self-contained bundle shards. Each shard
+// carries its records, the details aligned to them, and a local pubkey
+// dictionary, so a streaming reader can decode → analyze → discard one
+// shard at a time with no dataset-sized state.
 
-// write emits the v3 container: the v2 header sections, then the three
+// write emits the container: the header sections, then the three
 // streaming sections with pushdown metadata on every frame.
 func write(w io.Writer, s *Snapshot, workers int, m *snapObs) error {
 	bw := &writer{w: bufio.NewWriterSize(w, 1<<16), m: m}
@@ -29,8 +28,8 @@ func write(w io.Writer, s *Snapshot, workers int, m *snapObs) error {
 	bw.bundleSection(secBundlesLong, s.Long, s.Details, clock, workers)
 
 	// Orphans: details no retained record references, kept so the details
-	// map round-trips exactly. Signature-sorted like the v2 details
-	// section, which makes the shard split deterministic.
+	// map round-trips exactly. Signature-sorted, which makes the shard
+	// split deterministic.
 	referenced := make(map[solana.Signature]bool, 3*len(s.Len3))
 	mark := func(recs []jito.BundleRecord) {
 		for i := range recs {
@@ -195,8 +194,7 @@ func encodeBundleShard(recs []jito.BundleRecord, details map[solana.Signature]ji
 }
 
 // encodeOrphanShard lays out unreferenced details: local dictionary,
-// signature column, detail columns — the v2 detail shard carrying its
-// own interns.
+// signature column, detail columns.
 func encodeOrphanShard(sigs []solana.Signature, details map[solana.Signature]jito.TxDetail, clock solana.Clock) ([]byte, ShardMeta, error) {
 	var meta ShardMeta
 	meta.Items = len(sigs)

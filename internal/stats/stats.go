@@ -232,9 +232,8 @@ func (h *LogHistogram) AppendBinary(buf []byte) []byte {
 	return buf
 }
 
-// MarshalBinary encodes the histogram for persistence (gob honors
-// encoding.BinaryMarshaler, so datasets containing histograms serialize
-// transparently).
+// MarshalBinary encodes the histogram for persistence
+// (encoding.BinaryMarshaler over the AppendBinary layout).
 func (h *LogHistogram) MarshalBinary() ([]byte, error) {
 	return h.AppendBinary(make([]byte, 0, 8*(4+len(h.counts)))), nil
 }
