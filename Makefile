@@ -14,14 +14,17 @@ GO ?= go
 # the detect worker pool vs. the ordered fold goroutine), and the
 # collection fleet (lease table hammered by concurrent replicas, TTL
 # expiry racing renewals, checkpoint posts fenced by epoch), and the SLO
-# engine (Tick vs. /sloz State vs. HealthSource under worker fan-out).
-RACE_PKGS = ./internal/parallel ./internal/report ./internal/collector ./internal/workload ./internal/snapshot ./internal/faults ./internal/explorer ./internal/obs ./internal/quality ./internal/query ./internal/stream ./internal/fleet ./internal/slo
+# engine (Tick vs. /sloz State vs. HealthSource under worker fan-out),
+# and the ops bootstrap (the SLO loop and the -metrics-addr listener
+# serving while the binary feeds the registry).
+RACE_PKGS = ./internal/parallel ./internal/report ./internal/collector ./internal/workload ./internal/snapshot ./internal/faults ./internal/explorer ./internal/obs ./internal/quality ./internal/query ./internal/stream ./internal/fleet ./internal/slo ./internal/ops
 
 .PHONY: verify build test vet race bench bench-json bench-stream bench-latency chaos metrics-smoke fleet trace-smoke load-smoke fuzz-smoke
 
 # verify is the extended tier-1 gate (see ROADMAP.md): build + tests,
-# static checks (including the separate perfbench module, which
-# `go build ./...` never compiles), and the race suite over the
+# static checks (vet, including the separate perfbench module, which
+# `go build ./...` never compiles, and a read-only gofmt check over the
+# whole tree, perfbench included), and the race suite over the
 # concurrent packages.
 verify: build test vet race
 
@@ -34,6 +37,7 @@ test:
 vet:
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet .
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 race:
 	$(GO) test -race $(RACE_PKGS)

@@ -9,8 +9,7 @@ import (
 	"jitomev/internal/collector"
 	"jitomev/internal/fleet"
 	"jitomev/internal/obs"
-	"jitomev/internal/quality"
-	"jitomev/internal/slo"
+	"jitomev/internal/ops"
 	"jitomev/internal/snapshot"
 	"jitomev/internal/solana"
 )
@@ -32,7 +31,8 @@ type fleetOpts struct {
 // through -url's /leasez, drain claimed partitions with the hardened
 // transport, checkpoint into -ckpt-dir. Exits 0 when the whole fleet's
 // plan is complete, 1 on a terminal replica error.
-func runFleetReplica(opts fleetOpts, clock solana.Clock, transport collector.Transport, reg *obs.Registry, q *quality.Sentinel, sloEng *slo.Engine) {
+func runFleetReplica(opts fleetOpts, clock solana.Clock, transport collector.Transport, o *ops.Ops) {
+	reg := o.Reg
 	if opts.ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "collect: -fleet requires -ckpt-dir")
 		os.Exit(1)
@@ -61,7 +61,7 @@ func runFleetReplica(opts fleetOpts, clock solana.Clock, transport collector.Tra
 		CkptDir:         opts.ckptDir,
 		PageDelay:       opts.pageDelay,
 		Reg:             reg,
-		Quality:         q,
+		Quality:         o.Quality,
 	})
 	fmt.Printf("fleet replica %q: coordinating via %s/leasez, checkpoints in %s\n",
 		opts.id, opts.url, opts.ckptDir)
@@ -74,13 +74,8 @@ func runFleetReplica(opts fleetOpts, clock solana.Clock, transport collector.Tra
 		reg.Value("fleet_replica_records_total", "replica", opts.id),
 		reg.Value("fleet_replica_checkpoints_total", "replica", opts.id),
 		reg.Value("fleet_replica_partitions_completed_total", "replica", opts.id))
-	fmt.Println("\n== Run metrics ==")
-	reg.WriteSummary(os.Stdout)
-
-	// The replica's SLO verdict beside the metrics: a crashy fleet run
-	// shows its takeover-latency budget spend here.
-	sloEng.Tick()
-	_ = sloEng.WriteSummary(os.Stdout)
+	fmt.Println()
+	o.WriteSummary(os.Stdout)
 }
 
 // runMerge combines partition checkpoint snapshots into the canonical

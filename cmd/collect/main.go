@@ -37,17 +37,14 @@
 //	collect -merge -save merged.snap -url http://127.0.0.1:8899 -ckpt-dir ckpt
 //	collect -merge -save merged.snap part-000.e1.snap part-001.e2.snap ...
 //
-// -metrics-addr serves GET /metrics (Prometheus text), GET /statusz
-// (JSON), GET /qualityz (the data-quality verdict document), GET /sloz
-// (the SLO engine's error-budget and burn-rate verdicts over poll
-// availability, stream detection latency and fleet takeover latency)
-// and GET /healthz (503 when the quality verdict is critical or an SLO
-// objective is in fast burn, with every tripped monitor's reason) while
-// the collection runs, so a long scrape can be watched and alerted on
-// live; -pprof additionally mounts net/http/pprof on the same listener.
-// -cpuprofile / -memprofile write runtime profiles of the run itself.
-// At exit the full metrics registry, the data-quality table and the SLO
-// table are printed as aligned summaries.
+// -metrics-addr serves the ops surface every long-running binary gets
+// from internal/ops (/metrics, /statusz, /tracez, /qualityz, /sloz and
+// one /healthz) while the collection runs, so a long scrape can be
+// watched and alerted on live; its SLO engine watches poll
+// availability, stream detection latency and fleet takeover latency.
+// At exit the run summary prints the metrics, data-quality and SLO
+// tables. -cpuprofile / -memprofile write runtime profiles of the run,
+// in every mode.
 package main
 
 import (
@@ -55,17 +52,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"jitomev/internal/collector"
 	"jitomev/internal/core"
 	"jitomev/internal/faults"
-	"jitomev/internal/obs"
-	"jitomev/internal/quality"
+	"jitomev/internal/ops"
 	"jitomev/internal/report"
 	"jitomev/internal/slo"
 	"jitomev/internal/snapshot"
@@ -96,67 +89,17 @@ func main() {
 		mergeMode = flag.Bool("merge", false, "merge partition snapshots into -save: positional paths, or -ckpt-dir plus the coordinator state at -url")
 		streamDet = flag.Bool("stream-detect", false, "feed collected bundles through the incremental streaming detector (fetches details after every poll)")
 		streamLag = flag.Int("stream-lag", 64, "streaming watermark lag in slots (how much slot reordering a poll page may carry)")
-		metrics   = flag.String("metrics-addr", "", "serve /metrics and /statusz on this address while collecting")
-		withPprof = flag.Bool("pprof", false, "with -metrics-addr, also mount net/http/pprof under /debug/pprof/")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this path (taken after the run)")
-		traceRate = flag.Float64("trace-sample", 1, "trace head-sampling rate (negative = tracing off)")
-		traceCap  = flag.Int("trace-cap", 256, "flight-recorder capacity in traces")
-		sloUnit   = flag.Duration("slo-unit", 0, "SLO alert-window unit (0 = production 1h windows)")
-		sloTick   = flag.Duration("slo-tick", time.Second, "SLO engine evaluation interval")
+		opsFlags  ops.Flags
+		profiles  ops.Profiles
 	)
+	opsFlags.Register(flag.CommandLine, true)
+	profiles.Register(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "collect:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "collect:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	reg := obs.NewRegistry()
-	// Seeding the tracer with the chaos seed keeps a chaos run's trace
-	// IDs as reproducible as its fault schedule; the recorder serves
-	// /tracez on the -metrics-addr mux.
-	obs.NewTracer(reg, obs.TraceConfig{
-		Service:    "collect",
-		Seed:       uint64(*chaosSeed),
-		SampleRate: *traceRate,
-		Capacity:   *traceCap,
-	})
-	q := quality.New(quality.Config{}, reg)
-	// The SLO engine evaluates the collector objectives on a fixed tick
-	// for the whole run; /sloz serves its verdicts, /healthz folds its
-	// fast-burn page together with the quality sentinel's CRIT, and the
-	// end-of-run SLO table prints beside the metrics summary.
-	sloEng := slo.New(reg, slo.Config{}, slo.CollectorObjectives(*sloUnit)...)
-	sloEng.Tick()
-	stopSLO := sloEng.Start(*sloTick)
-	defer stopSLO()
-	if *metrics != "" {
-		eps := []obs.Endpoint{
-			{Path: "/qualityz", Handler: q.QualityHandler()},
-			{Path: "/healthz", Handler: obs.HealthHandler(q.HealthSource(), sloEng.HealthSource())},
-		}
-		eps = append(eps, sloEng.OpsEndpoints()...)
-		srv := &http.Server{
-			Addr:              *metrics,
-			Handler:           obs.NewOpsMux(reg, *withPprof, eps...),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		go func() {
-			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "collect: metrics:", err)
-			}
-		}()
-		fmt.Printf("metrics on http://%s/metrics (statusz: /statusz, qualityz: /qualityz, sloz: /sloz, healthz: /healthz)\n", *metrics)
-	}
+	defer profiles.Start("collect")()
+	o := ops.Start("collect", *chaosSeed, opsFlags, slo.CollectorObjectives)
+	defer o.Close()
+	reg, q := o.Reg, o.Quality
 
 	clock := solana.Clock{Genesis: time.Date(2025, 2, 9, 0, 0, 0, 0, time.UTC)}
 	var transport collector.Transport = collector.NewHTTP(*url).WithObs(reg)
@@ -175,7 +118,7 @@ func main() {
 			url: *url, id: *replicaID, partitions: *partsN, ckptDir: *ckptDir,
 			ttl: *leaseTTL, every: *ckptEvery, page: *page, batch: *batch,
 			pageDelay: *pageDelay,
-		}, clock, transport, reg, q, sloEng)
+		}, clock, transport, o)
 		return
 	}
 	c := collector.NewObs(collector.Config{PageLimit: *page, DetailBatch: *batch, BackfillPages: *backfill},
@@ -297,35 +240,6 @@ func main() {
 		saveTo(*save)
 	}
 
-	// The end-of-run report: every counter the run recorded — transport
-	// retries, breaker transitions, injected and survived faults,
-	// detection rejections, snapshot shards — in one aligned table.
-	fmt.Println("\n== Run metrics ==")
-	reg.WriteSummary(os.Stdout)
-
-	// The quality verdict beside it: the same checks /qualityz serves.
-	fmt.Println("\n== Data quality ==")
-	q.WriteReport(os.Stdout)
-
-	// The SLO table last: tick once more so the final verdict covers the
-	// whole run, then render the same document /sloz serves.
-	sloEng.Tick()
-	_ = sloEng.WriteSummary(os.Stdout)
-
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "collect:", err)
-			os.Exit(1)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "collect:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "collect:", err)
-			os.Exit(1)
-		}
-	}
+	fmt.Println()
+	o.WriteSummary(os.Stdout)
 }

@@ -17,18 +17,14 @@
 // taxonomy the paper's scraper survived for four months — so a collector
 // pointed at it can be soak-tested against a misbehaving explorer.
 //
-// The same listener also serves the ops surface: GET /metrics (Prometheus
-// text) and GET /statusz (JSON) expose the server's request counters
-// live, GET /qualityz reports the data-quality sentinel's verdict over
-// the generated chain, GET /sloz reports the SLO engine's error-budget
-// and burn-rate verdicts (availability and serving latency; windows
-// scale with -slo-unit), and GET /healthz answers 200 unless the quality
-// verdict is critical or an SLO objective is in fast burn — one probe,
-// every tripped monitor's reason in the 503 body. With -chaos-admin the
-// chaos layer mounts even at fault rate 0 and GET/POST /chaosz reads and
-// retunes the live fault rate. -pprof additionally mounts net/http/pprof
-// under /debug/pprof/. Chaos faults never touch the ops endpoints — only
-// the API is wrapped.
+// The same listener also serves the ops surface every long-running
+// binary gets from internal/ops (/metrics, /statusz, /tracez, /qualityz,
+// /sloz and one /healthz). Here the quality sentinel watches the
+// generated chain and the SLO engine watches serving availability and
+// latency (windows scale with -slo-unit). With -chaos-admin the chaos
+// layer mounts even at fault rate 0 and GET/POST /chaosz reads and
+// retunes the live fault rate. Chaos faults never touch the ops
+// endpoints — only the API is wrapped.
 //
 // The listener also serves the fleet lease coordinator: GET /leasez is
 // the lease-table state document and POST /leasez/{plan,acquire,renew,
@@ -49,7 +45,7 @@ import (
 	"jitomev/internal/fleet"
 	"jitomev/internal/jito"
 	"jitomev/internal/obs"
-	"jitomev/internal/quality"
+	"jitomev/internal/ops"
 	"jitomev/internal/slo"
 	"jitomev/internal/workload"
 )
@@ -66,28 +62,20 @@ func main() {
 		faultRate  = flag.Float64("fault-rate", 0, "chaos mode: per-request fault probability (0 = off)")
 		chaosSeed  = flag.Int64("chaos-seed", 0, "seed for the deterministic fault schedule")
 		slow       = flag.Duration("slow", 100*time.Millisecond, "chaos mode: stall injected on slow responses")
-		withPprof  = flag.Bool("pprof", false, "also mount net/http/pprof under /debug/pprof/")
-		traceRate  = flag.Float64("trace-sample", 1, "trace head-sampling rate (negative = tracing off)")
-		traceCap   = flag.Int("trace-cap", 256, "flight-recorder capacity in traces")
 		chaosAdmin = flag.Bool("chaos-admin", false, "mount POST-able /chaosz to retune the fault rate at runtime")
-		sloUnit    = flag.Duration("slo-unit", 0, "SLO alert-window unit (0 = production 1h windows)")
-		sloTick    = flag.Duration("slo-tick", time.Second, "SLO engine evaluation interval")
+		opsFlags   ops.Flags
 	)
+	opsFlags.Register(flag.CommandLine, false)
 	flag.Parse()
 
 	store := explorer.NewStore()
 	st := workload.New(workload.Params{Seed: *seed, Days: *days, Scale: *scale})
 
-	reg := obs.NewRegistry()
-	// The tracer shares the chaos schedule's seed so trace IDs — like
-	// everything else in a chaos run — replay identically at a fixed
-	// seed. NewOpsMux mounts the recorder at /tracez.
-	tracer := obs.NewTracer(reg, obs.TraceConfig{
-		Service:    "explorerd",
-		Seed:       uint64(*chaosSeed),
-		SampleRate: *traceRate,
-		Capacity:   *traceCap,
-	})
+	// Ops share the API listener but sit outside the chaos wrapper: a
+	// misbehaving explorer must still be observable.
+	o := ops.Start("explorerd", *chaosSeed, opsFlags, slo.ExplorerObjectives)
+	defer o.Close()
+	reg, tracer := o.Reg, o.Tracer
 	var handler http.Handler = explorer.NewServerObs(store, *rate, reg)
 	// With -chaos-admin the chaos layer is mounted even at rate 0, so the
 	// /chaosz endpoint can dial faults up and back down mid-run.
@@ -102,43 +90,26 @@ func main() {
 	// faults are annotated onto the very trace whose request they hit.
 	handler = obs.TraceMiddleware(tracer, handler)
 
-	// Ops endpoints share the API listener but sit outside the chaos
-	// wrapper: a misbehaving explorer must still be observable. The
-	// quality sentinel here has no collector feed — it watches the
+	// The quality sentinel has no collector feed here — it watches the
 	// generation side (per-day landed counts), so /qualityz reports the
 	// ground-truth denominator a scraping collector measures against and
 	// /healthz stays a liveness probe.
-	q := quality.New(quality.Config{}, reg)
-	st.DayObserver = func(ds workload.DayStats) { q.ObserveGenerated(ds.Day, ds.BundlesLanded) }
+	st.DayObserver = func(ds workload.DayStats) { o.Quality.ObserveGenerated(ds.Day, ds.BundlesLanded) }
 	// The lease coordinator for a collection fleet lives with the data:
 	// explorerd owns the acceptance sequence, so it also serves /leasez,
 	// and the fleet's partition plan is fixed over the store's high-water
 	// mark at the moment the first replica asks.
 	leases := fleet.NewLeaseTable(store.HighWater, reg)
-	leaseEPs := fleet.NewLeaseServer(leases).Endpoints()
+	eps := fleet.NewLeaseServer(leases).Endpoints()
 	// Lease operations carry the replicas' traceparent too: a fleet page
 	// trace shows its renew/checkpoint hops server-side.
-	for i := range leaseEPs {
-		leaseEPs[i].Handler = obs.TraceMiddleware(tracer, leaseEPs[i].Handler)
+	for i := range eps {
+		eps[i].Handler = obs.TraceMiddleware(tracer, eps[i].Handler)
 	}
-	// The SLO engine evaluates the explorer objectives (availability and
-	// serving latency) on a fixed tick; /sloz serves its verdicts and
-	// /healthz folds its fast-burn page together with the quality
-	// sentinel's CRIT into one probe — a single 503 carrying every
-	// tripped monitor's reason.
-	eng := slo.New(reg, slo.Config{}, slo.ExplorerObjectives(*sloUnit)...)
-	eng.Tick() // baseline before serving, so /sloz is never empty
-	defer eng.Start(*sloTick)()
-	eps := []obs.Endpoint{
-		{Path: "/qualityz", Handler: q.QualityHandler()},
-		{Path: "/healthz", Handler: obs.HealthHandler(q.HealthSource(), eng.HealthSource())},
-	}
-	eps = append(eps, eng.OpsEndpoints()...)
 	if *chaosAdmin {
 		eps = append(eps, obs.Endpoint{Path: "/chaosz", Handler: faults.AdminHandler(injector)})
 	}
-	eps = append(eps, leaseEPs...)
-	mux := obs.NewOpsMux(reg, *withPprof, eps...)
+	mux := o.Mux(eps...)
 	mux.Handle("/", handler)
 
 	srv := &http.Server{

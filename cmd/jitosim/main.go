@@ -7,30 +7,22 @@
 //	jitosim [-days 120] [-scale 2000] [-seed 1] [-workers 0] [-http] [-csv out.csv] [-fig all]
 //	        [-fault-rate 0.1 -chaos-seed 7] [-metrics-addr 127.0.0.1:9100] [-summary]
 //
-// -metrics-addr serves GET /metrics, GET /statusz, GET /qualityz, GET
-// /sloz (the SLO engine's error-budget verdicts over the collection
-// objectives) and GET /healthz (503 when the quality verdict is
-// critical or an SLO objective is in fast burn) while the pipeline runs
-// (-pprof adds net/http/pprof on the same listener). -summary prints
-// the full metrics registry, the data-quality verdict table and the SLO
-// table at exit; a chaos run (-fault-rate) prints them unconditionally
-// — the table replaces the hand-built chaos summary line, which now
-// falls out of the registry for free.
+// -metrics-addr serves the ops surface every long-running binary gets
+// from internal/ops (/metrics, /statusz, /tracez, /qualityz, /sloz and
+// one /healthz) while the pipeline runs. -summary prints the metrics,
+// data-quality and SLO tables at exit; a chaos run (-fault-rate) prints
+// them unconditionally — the table replaces the hand-built chaos
+// summary line, which now falls out of the registry for free.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"jitomev"
-	"jitomev/internal/obs"
-	"jitomev/internal/quality"
+	"jitomev/internal/ops"
 	"jitomev/internal/report"
 	"jitomev/internal/slo"
 	"jitomev/internal/snapshot"
@@ -53,67 +45,19 @@ func main() {
 		workers   = flag.Int("workers", 0, "pipeline workers: 0 = all cores, 1 = serial reference path")
 		faultRate = flag.Float64("fault-rate", 0, "per-call fault probability on the collection path (0 = off)")
 		chaosSeed = flag.Int64("chaos-seed", 0, "seed for the deterministic fault schedule")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this path (taken after the run)")
 		streamDet = flag.Bool("stream-detect", false, "also run the incremental streaming detector over the live feed")
 		crossWin  = flag.Int("stream-cross", 0, "streaming cross-block window in slots (0 = default 4, negative = off)")
-		metrics   = flag.String("metrics-addr", "", "serve /metrics and /statusz on this address during the run")
-		withPprof = flag.Bool("pprof", false, "with -metrics-addr, also mount net/http/pprof under /debug/pprof/")
 		summary   = flag.Bool("summary", false, "print the metrics registry as a table at exit")
-		traceRate = flag.Float64("trace-sample", 1, "trace head-sampling rate (negative = tracing off)")
-		traceCap  = flag.Int("trace-cap", 256, "flight-recorder capacity in traces")
-		sloUnit   = flag.Duration("slo-unit", 0, "SLO alert-window unit (0 = production 1h windows)")
-		sloTick   = flag.Duration("slo-tick", time.Second, "SLO engine evaluation interval")
+		opsFlags  ops.Flags
+		profiles  ops.Profiles
 	)
+	opsFlags.Register(flag.CommandLine, true)
+	profiles.Register(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "jitosim:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "jitosim:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-
-	reg := obs.NewRegistry()
-	// The tracer shares the chaos seed, so a chaos replay reproduces its
-	// trace IDs too; /tracez rides the -metrics-addr mux.
-	obs.NewTracer(reg, obs.TraceConfig{
-		Service:    "jitosim",
-		Seed:       uint64(*chaosSeed),
-		SampleRate: *traceRate,
-		Capacity:   *traceCap,
-	})
-	q := quality.New(quality.Config{}, reg)
-	// The SLO engine watches the pipeline's collection objectives while
-	// it runs; /sloz serves the live verdicts, the end-of-run table
-	// prints beside the metrics summary.
-	sloEng := slo.New(reg, slo.Config{}, slo.CollectorObjectives(*sloUnit)...)
-	sloEng.Tick()
-	defer sloEng.Start(*sloTick)()
-	if *metrics != "" {
-		eps := []obs.Endpoint{
-			{Path: "/qualityz", Handler: q.QualityHandler()},
-			{Path: "/healthz", Handler: obs.HealthHandler(q.HealthSource(), sloEng.HealthSource())},
-		}
-		eps = append(eps, sloEng.OpsEndpoints()...)
-		srv := &http.Server{
-			Addr:              *metrics,
-			Handler:           obs.NewOpsMux(reg, *withPprof, eps...),
-			ReadHeaderTimeout: 10 * time.Second,
-		}
-		go func() {
-			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "jitosim: metrics:", err)
-			}
-		}()
-		fmt.Printf("metrics on http://%s/metrics (statusz: /statusz, qualityz: /qualityz, sloz: /sloz, healthz: /healthz)\n", *metrics)
-	}
+	defer profiles.Start("jitosim")()
+	o := ops.Start("jitosim", *chaosSeed, opsFlags, slo.CollectorObjectives)
+	defer o.Close()
 
 	start := time.Now()
 	out, err := jitomev.Run(jitomev.Config{
@@ -129,29 +73,12 @@ func main() {
 		ChaosSeed:         *chaosSeed,
 		StreamDetect:      *streamDet,
 		StreamCrossSlots:  *crossWin,
-		Obs:               reg,
-		Quality:           q,
+		Obs:               o.Reg,
+		Quality:           o.Quality,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jitosim:", err)
 		os.Exit(1)
-	}
-	if *memProf != "" {
-		// Snapshot the heap right after the pipeline, before rendering.
-		f, err := os.Create(*memProf)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "jitosim:", err)
-			os.Exit(1)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "jitosim:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "jitosim:", err)
-			os.Exit(1)
-		}
 	}
 	r := out.Results
 	p := out.Study.P
@@ -241,12 +168,6 @@ func main() {
 	}
 
 	if *summary || out.Chaos != nil {
-		fmt.Println("== Run metrics ==")
-		out.Obs.WriteSummary(os.Stdout)
-		fmt.Println("\n== Data quality ==")
-		out.Quality.WriteReport(os.Stdout)
-		// One more tick so the SLO verdict covers the whole run.
-		sloEng.Tick()
-		_ = sloEng.WriteSummary(os.Stdout)
+		o.WriteSummary(os.Stdout)
 	}
 }

@@ -249,18 +249,6 @@ func validateSloz(body []byte, expect string) error {
 	return nil
 }
 
-// tracezDoc mirrors the /tracez JSON document (obs keeps the wrapper
-// unexported; the kept traces themselves are obs.KeptTrace).
-type tracezDoc struct {
-	Service   string          `json:"service"`
-	Capacity  int             `json:"capacity"`
-	Occupancy int             `json:"occupancy"`
-	Started   uint64          `json:"traces_started"`
-	Sampled   uint64          `json:"traces_sampled"`
-	Dropped   uint64          `json:"traces_dropped"`
-	Traces    []obs.KeptTrace `json:"traces"`
-}
-
 // checkTracez fetches and validates a /tracez document, retrying until
 // the deadline for a trace with at least minSpans spans (and, when
 // wantRemote, a remotely-rooted one). Shape violations fail immediately;
@@ -273,7 +261,7 @@ func checkTracez(url string, wait time.Duration, minSpans int, wantRemote bool) 
 			var deepest int
 			deepest, err = validateTracez(body, minSpans, wantRemote)
 			if err == nil {
-				var doc tracezDoc
+				var doc obs.TracezDoc
 				_ = json.Unmarshal(body, &doc)
 				fmt.Printf("metricscheck: tracez ok — %d/%d traces kept, deepest %d spans\n",
 					doc.Occupancy, doc.Capacity, deepest)
@@ -303,7 +291,7 @@ func shapeErrf(format string, args ...any) error {
 // trace's span count. A shape violation returns *tracezShapeError; a
 // merely-too-shallow recorder returns a plain (retryable) error.
 func validateTracez(body []byte, minSpans int, wantRemote bool) (int, error) {
-	var doc tracezDoc
+	var doc obs.TracezDoc
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {

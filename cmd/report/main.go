@@ -22,14 +22,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
 
 	"jitomev"
 	"jitomev/internal/collector"
+	"jitomev/internal/ops"
 	"jitomev/internal/query"
 	"jitomev/internal/report"
 	streamdet "jitomev/internal/stream"
@@ -38,17 +37,17 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "headline", "headline|1|2|3|4|rejections|ablation|csv|table1")
-		days    = flag.String("days", "60", "study length in days; with -load, a day filter: N (first N days) or lo:hi (inclusive)")
-		scale   = flag.Int("scale", 5_000, "volume divisor vs paper scale")
-		seed    = flag.Int64("seed", 1, "deterministic seed")
-		points  = flag.Int("points", 25, "CDF points for figure 3")
-		load    = flag.String("load", "", "analyze a saved dataset instead of regenerating")
-		replay  = flag.Bool("replay", false, "with -load: replay the dataset through the incremental detector (prints latency percentiles and cross-block verdicts)")
-		workers = flag.Int("workers", 0, "analysis workers: 0 = all cores, 1 = serial reference path")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memProf = flag.String("memprofile", "", "write a heap profile to this path (taken after the run)")
+		fig      = flag.String("fig", "headline", "headline|1|2|3|4|rejections|ablation|csv|table1")
+		days     = flag.String("days", "60", "study length in days; with -load, a day filter: N (first N days) or lo:hi (inclusive)")
+		scale    = flag.Int("scale", 5_000, "volume divisor vs paper scale")
+		seed     = flag.Int64("seed", 1, "deterministic seed")
+		points   = flag.Int("points", 25, "CDF points for figure 3")
+		load     = flag.String("load", "", "analyze a saved dataset instead of regenerating")
+		replay   = flag.Bool("replay", false, "with -load: replay the dataset through the incremental detector (prints latency percentiles and cross-block verdicts)")
+		workers  = flag.Int("workers", 0, "analysis workers: 0 = all cores, 1 = serial reference path")
+		profiles ops.Profiles
 	)
+	profiles.Register(flag.CommandLine)
 	flag.Parse()
 	daysSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -60,30 +59,8 @@ func main() {
 	// Profile setup strictly precedes the analysis timer below, so the
 	// reported wall time (and any benchmark built on it) measures
 	// analysis only, never profile file creation.
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
+	defer profiles.Start("report")()
 	run(fig, days, scale, seed, points, load, replay, workers, daysSet)
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			fail(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-	}
 }
 
 func fail(err error) {

@@ -123,3 +123,21 @@ func TestExplorerdCollectPipeline(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectMergeWritesMemProfile: -memprofile is honoured by every
+// collect mode, including -merge, which finishes before the polling
+// loop ever starts.
+func TestCollectMergeWritesMemProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI tests run real binaries")
+	}
+	dir := t.TempDir()
+	mem := filepath.Join(dir, "mem.prof")
+	runCmd(t, "run", "./cmd/collect", "-merge", "-save", filepath.Join(dir, "out.snap"),
+		"-memprofile", mem, "internal/collector/testdata/v3-golden.snap")
+	if fi, err := os.Stat(mem); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() == 0 {
+		t.Fatal("mem.prof is empty")
+	}
+}

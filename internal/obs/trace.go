@@ -680,8 +680,8 @@ func (t *Tracer) Occupancy() int {
 	return t.n
 }
 
-// tracezDoc is the /tracez JSON document.
-type tracezDoc struct {
+// TracezDoc is the /tracez JSON document.
+type TracezDoc struct {
 	Service   string      `json:"service"`
 	Capacity  int         `json:"capacity"`
 	Occupancy int         `json:"occupancy"`
@@ -702,7 +702,7 @@ func (t *Tracer) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		doc := tracezDoc{
+		doc := TracezDoc{
 			Service:   t.cfg.Service,
 			Capacity:  t.cfg.Capacity,
 			Occupancy: t.Occupancy(),

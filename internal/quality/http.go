@@ -20,25 +20,10 @@ func (s *Sentinel) QualityHandler() http.Handler {
 	})
 }
 
-// HealthHandler serves the /healthz probe: 200 with a one-line JSON
-// body while the aggregate verdict is OK or WARN, 503 on CRIT — the
-// contract load balancers and the smoke script key on.
-func (s *Sentinel) HealthHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		rep := s.Evaluate()
-		w.Header().Set("Content-Type", "application/json")
-		if rep.Status == CRIT {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		_ = json.NewEncoder(w).Encode(map[string]string{"status": rep.Status.String()})
-	})
-}
-
-// HealthSource adapts the sentinel to obs.HealthHandler so binaries
-// that also run an SLO engine can fold both monitors into a single
-// /healthz probe: unhealthy on CRIT (the same bar HealthHandler's 503
-// uses), with the failing checks' reasons surfaced. A nil sentinel is
-// always healthy.
+// HealthSource adapts the sentinel to obs.HealthHandler, which folds it
+// with the SLO engine into a single /healthz probe: unhealthy on CRIT,
+// with the failing checks' reasons surfaced. A nil sentinel is always
+// healthy.
 func (s *Sentinel) HealthSource() obs.HealthSource {
 	return obs.HealthSource{
 		Name: "quality",
@@ -55,14 +40,5 @@ func (s *Sentinel) HealthSource() obs.HealthSource {
 			}
 			return false, reason
 		},
-	}
-}
-
-// OpsEndpoints returns the routes a binary passes to obs.NewOpsMux to
-// mount the sentinel beside /metrics and /statusz.
-func (s *Sentinel) OpsEndpoints() []obs.Endpoint {
-	return []obs.Endpoint{
-		{Path: "/qualityz", Handler: s.QualityHandler()},
-		{Path: "/healthz", Handler: s.HealthHandler()},
 	}
 }

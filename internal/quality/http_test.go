@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 
 	"jitomev/internal/obs"
@@ -82,10 +83,13 @@ func TestQualityzShape(t *testing.T) {
 	}
 }
 
+// TestHealthzFlipsOnCrit serves the sentinel through obs.HealthHandler,
+// the /healthz every binary mounts: 200 "ok" while the verdict is clean,
+// 503 "unhealthy" with the CRIT checks as the reason on collapse.
 func TestHealthzFlipsOnCrit(t *testing.T) {
 	s := New(Config{}, nil)
 	feedClean(s)
-	if rec := get(t, s.HealthHandler(), "/healthz"); rec.Code != http.StatusOK {
+	if rec := get(t, obs.HealthHandler(s.HealthSource()), "/healthz"); rec.Code != http.StatusOK {
 		t.Fatalf("healthy probe status %d", rec.Code)
 	}
 
@@ -93,16 +97,20 @@ func TestHealthzFlipsOnCrit(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		crit.ObservePoll(0, 50, 50, 0, i > 0, false) // overlap collapse
 	}
-	rec := get(t, crit.HealthHandler(), "/healthz")
+	rec := get(t, obs.HealthHandler(crit.HealthSource()), "/healthz")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("CRIT probe status %d want 503", rec.Code)
 	}
-	var body map[string]string
+	var body struct {
+		Status  string   `json:"status"`
+		Reasons []string `json:"reasons"`
+	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if body["status"] != "crit" {
-		t.Fatalf("probe body %v", body)
+	if body.Status != "unhealthy" || len(body.Reasons) != 1 ||
+		!strings.HasPrefix(body.Reasons[0], "quality: verdict CRIT; ") {
+		t.Fatalf("probe body %+v", body)
 	}
 }
 
@@ -111,20 +119,12 @@ func TestNilSentinelEndpoints(t *testing.T) {
 	if rec := get(t, s.QualityHandler(), "/qualityz"); rec.Code != http.StatusOK {
 		t.Fatalf("nil /qualityz status %d", rec.Code)
 	}
-	if rec := get(t, s.HealthHandler(), "/healthz"); rec.Code != http.StatusOK {
+	rec := get(t, obs.HealthHandler(s.HealthSource()), "/healthz")
+	if rec.Code != http.StatusOK {
 		t.Fatalf("nil /healthz status %d", rec.Code)
 	}
-}
-
-func TestOpsEndpointsMount(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := New(Config{}, reg)
-	feedClean(s)
-	mux := obs.NewOpsMux(reg, false, s.OpsEndpoints()...)
-	for _, path := range []string{"/metrics", "/statusz", "/qualityz", "/healthz"} {
-		if rec := get(t, mux, path); rec.Code != http.StatusOK {
-			t.Errorf("%s -> %d", path, rec.Code)
-		}
+	if body := strings.TrimSpace(rec.Body.String()); body != "{\n  \"status\": \"ok\"\n}" {
+		t.Fatalf("nil /healthz body %q", body)
 	}
 }
 

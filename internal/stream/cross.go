@@ -102,16 +102,16 @@ type crossTracker struct {
 
 	cache  map[candKey]*candidate
 	byPair map[core.MintPair]*candidate // head of each pair's chain
-	head   *candidate // newest front
-	tail   *candidate // stalest front
+	head   *candidate                   // newest front
+	tail   *candidate                   // stalest front
 
 	verdicts  []CrossVerdict
 	highWater int        // max len(cache) observed
 	free      *candidate // freelist of removed candidates (linked via next)
 
-	cCand, cVerd             *obs.Counter
-	cEvictWindow, cEvictCap  *obs.Counter
-	gBytes                   *obs.Gauge
+	cCand, cVerd            *obs.Counter
+	cEvictWindow, cEvictCap *obs.Counter
+	gBytes                  *obs.Gauge
 }
 
 func newCrossTracker(cfg CrossConfig, reg *obs.Registry) *crossTracker {
