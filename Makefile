@@ -52,11 +52,14 @@ chaos:
 
 # fuzz-smoke runs each snapshot decoder fuzz target for a fixed budget:
 # the seed corpus and the kept regressions under
-# internal/snapshot/testdata/fuzz first, then mutation. A failing input
-# is written to that directory; fix the decoder and keep the file.
+# internal/snapshot/testdata/fuzz first, then mutation. FuzzDecodeShard
+# feeds raw shard payloads to the shard decoders directly, past the gzip
+# CRC the container-level targets mostly stop at. A failing input is
+# written to that directory; fix the decoder and keep the file.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=20s ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz='^FuzzScan$$' -fuzztime=20s ./internal/snapshot
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeShard$$' -fuzztime=20s ./internal/snapshot
 
 # bench smoke-runs every benchmark once — cheap proof that each figure,
 # table and pipeline benchmark still executes; use -benchtime=default

@@ -106,7 +106,7 @@ func main() {
 	var chaos *faults.Injector
 	if *faultRate > 0 {
 		chaos = faults.NewInjectorObs(*chaosSeed, *faultRate, reg)
-		transport = faults.WrapTransport(transport, chaos, faults.TransportOptions{})
+		transport = faults.WrapTransport(transport, chaos)
 	}
 
 	if *mergeMode {

@@ -20,24 +20,9 @@ type Inner interface {
 	TxDetails(ids []solana.Signature) ([]jito.TxDetail, error)
 }
 
-// TransportOptions tune the injected faults' shape (never their schedule,
-// which belongs to the Injector).
-type TransportOptions struct {
-	// SlowDelay is a real sleep added before ClassTimeout errors, to
-	// exercise wall-clock-sensitive consumers. 0 (the default) fails
-	// immediately — chaos soaks stay fast.
-	SlowDelay time.Duration
-	// RetryAfter is the base server-suggested delay attached to throttle
-	// faults (scaled 1–3× per fault). 0 selects 20ms.
-	RetryAfter time.Duration
-}
-
-func (o TransportOptions) retryAfter() time.Duration {
-	if o.RetryAfter <= 0 {
-		return 20 * time.Millisecond
-	}
-	return o.RetryAfter
-}
+// throttleRetryAfter is the base server-suggested delay attached to
+// throttle faults (scaled 1–3× per fault).
+const throttleRetryAfter = 20 * time.Millisecond
 
 // Transport wraps an Inner transport and injects the failure taxonomy on
 // the Injector's deterministic schedule. It satisfies collector.Transport.
@@ -54,7 +39,6 @@ func (o TransportOptions) retryAfter() time.Duration {
 type Transport struct {
 	Inner    Inner
 	Injector *Injector
-	Opts     TransportOptions
 
 	// traceMu guards the bound span context (see BindTrace).
 	traceMu  sync.Mutex
@@ -62,8 +46,8 @@ type Transport struct {
 }
 
 // WrapTransport builds a fault-injecting transport over inner.
-func WrapTransport(inner Inner, inj *Injector, opts TransportOptions) *Transport {
-	return &Transport{Inner: inner, Injector: inj, Opts: opts}
+func WrapTransport(inner Inner, inj *Injector) *Transport {
+	return &Transport{Inner: inner, Injector: inj}
 }
 
 // BindTrace accepts the collector's trace binding and forwards it to
@@ -105,14 +89,11 @@ func (t *Transport) errorFor(class Class, idx uint64) error {
 		return &Error{Class: ClassTransport}
 	case ClassThrottle:
 		scale := 1 + time.Duration(hash(t.Injector.Seed(), idx, 0x7e7a)%3)
-		return &Error{Class: ClassThrottle, Status: 429, RetryAfter: scale * t.Opts.retryAfter()}
+		return &Error{Class: ClassThrottle, Status: 429, RetryAfter: scale * throttleRetryAfter}
 	case ClassServer:
 		statuses := [...]int{500, 502, 503}
 		return &Error{Class: ClassServer, Status: statuses[hash(t.Injector.Seed(), idx, 0x5e4e)%3]}
 	case ClassTimeout:
-		if t.Opts.SlowDelay > 0 {
-			time.Sleep(t.Opts.SlowDelay)
-		}
 		return &Error{Class: ClassTimeout}
 	case ClassTruncate:
 		return &Error{Class: ClassTruncate, Err: io.ErrUnexpectedEOF}

@@ -81,7 +81,7 @@ func inOrder(page []jito.BundleRecord) bool {
 
 func TestTransportErrorClasses(t *testing.T) {
 	inner := &fakeInner{page: makePage(20)}
-	tr := WrapTransport(inner, NewInjector(5, 1), TransportOptions{})
+	tr := WrapTransport(inner, NewInjector(5, 1))
 
 	for _, class := range []Class{ClassTransport, ClassThrottle, ClassServer, ClassTimeout, ClassTruncate, ClassCorrupt} {
 		before := inner.calls
@@ -112,7 +112,7 @@ func TestTransportErrorClasses(t *testing.T) {
 
 func TestTransportDuplicateEntries(t *testing.T) {
 	inner := &fakeInner{page: makePage(40)}
-	tr := WrapTransport(inner, NewInjector(6, 1), TransportOptions{})
+	tr := WrapTransport(inner, NewInjector(6, 1))
 	page, err := driveUntil(t, tr, ClassDuplicate)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestTransportDuplicateEntries(t *testing.T) {
 
 func TestTransportReorderEntries(t *testing.T) {
 	inner := &fakeInner{page: makePage(40)}
-	tr := WrapTransport(inner, NewInjector(8, 1), TransportOptions{})
+	tr := WrapTransport(inner, NewInjector(8, 1))
 	page, err := driveUntil(t, tr, ClassReorder)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestTransportReorderEntries(t *testing.T) {
 
 func TestTransportPartialDetails(t *testing.T) {
 	inner := &fakeInner{page: makePage(5)}
-	tr := WrapTransport(inner, NewInjector(10, 1), TransportOptions{})
+	tr := WrapTransport(inner, NewInjector(10, 1))
 	ids := makeIDs(40)
 	for i := 0; i < 2000; i++ {
 		details, err := tr.TxDetails(ids)
@@ -187,7 +187,7 @@ func TestTransportPartialDetails(t *testing.T) {
 func TestTransportDeterministic(t *testing.T) {
 	run := func() ([]string, []int) {
 		inner := &fakeInner{page: makePage(30)}
-		tr := WrapTransport(inner, NewInjector(77, 0.5), TransportOptions{})
+		tr := WrapTransport(inner, NewInjector(77, 0.5))
 		var classes []string
 		var sizes []int
 		for i := 0; i < 300; i++ {

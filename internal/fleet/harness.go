@@ -31,7 +31,6 @@ type HarnessConfig struct {
 	DetailBatch     int
 	CheckpointEvery int
 	LeaseTTL        time.Duration
-	Stall           time.Duration
 	// PageDelay paces every replica's page loop (see ReplicaConfig).
 	PageDelay time.Duration
 	// CkptDir holds the partition checkpoints (required).
@@ -108,7 +107,7 @@ func RunFleet(cfg HarnessConfig) (*HarnessResult, error) {
 		var transport collector.Transport = collector.Direct{Store: cfg.Store}
 		if cfg.FaultRate > 0 {
 			transport = faults.WrapTransport(transport,
-				faults.NewInjector(cfg.ChaosSeed+int64(i), cfg.FaultRate), faults.TransportOptions{})
+				faults.NewInjector(cfg.ChaosSeed+int64(i), cfg.FaultRate))
 		}
 		var chaos *faults.Injector
 		if cfg.ReplicaFaultRate > 0 {
@@ -126,7 +125,6 @@ func RunFleet(cfg HarnessConfig) (*HarnessResult, error) {
 			LeaseTTL:        cfg.LeaseTTL,
 			CheckpointEvery: cfg.CheckpointEvery,
 			CkptDir:         cfg.CkptDir,
-			Stall:           cfg.Stall,
 			PageDelay:       cfg.PageDelay,
 			Chaos:           chaos,
 			CrashAfterPages: cfg.CrashAfterPages[i],

@@ -25,6 +25,19 @@ func CheckpointPath(dir string, partition int, epoch uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("part-%03d.e%d.snap", partition, epoch))
 }
 
+// Replica-level retry pacing, beyond whatever the transport itself
+// retries.
+const (
+	// pageRetries bounds retries of a failed page or detail batch; a
+	// 10% fault schedule clears it with margin.
+	pageRetries = 24
+	// retryWait sleeps between retries.
+	retryWait = 2 * time.Millisecond
+	// idleWait sleeps between claim sweeps when every remaining
+	// partition is held by someone else.
+	idleWait = 10 * time.Millisecond
+)
+
 // ReplicaConfig shapes one fleet member.
 type ReplicaConfig struct {
 	// ID is the holder name leases are granted to (must be unique
@@ -54,25 +67,12 @@ type ReplicaConfig struct {
 	// CkptDir holds the per-partition checkpoint snapshots (required;
 	// shared by all replicas of a fleet).
 	CkptDir string
-	// PageRetries bounds replica-level retries of a failed page or
-	// detail batch, beyond whatever the transport itself retries
-	// (default 24 — a 10% fault schedule clears that with margin).
-	PageRetries int
-	// RetryWait sleeps between replica-level retries (default 2ms).
-	RetryWait time.Duration
-	// IdleWait sleeps between claim sweeps when every remaining
-	// partition is held by someone else (default 10ms).
-	IdleWait time.Duration
 	// PageDelay paces the page loop (0 = full speed). Chaos tests use
 	// it to keep an in-process fleet genuinely concurrent — without
 	// pacing, one replica can drain every partition before the others'
 	// goroutines are even scheduled, and the failure modes under test
 	// (contention, expiry, takeover) never occur.
 	PageDelay time.Duration
-	// Stall is how long an injected coordinator partition freezes the
-	// replica — long enough to outlive the TTL, so the write it
-	// attempts afterwards meets the fence (default 2×LeaseTTL).
-	Stall time.Duration
 
 	// Chaos, when set, draws replica-level faults (crash, partition)
 	// from the deterministic schedule before every page.
@@ -116,18 +116,6 @@ func NewReplica(cfg ReplicaConfig) *Replica {
 	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 4
-	}
-	if cfg.PageRetries <= 0 {
-		cfg.PageRetries = 24
-	}
-	if cfg.RetryWait <= 0 {
-		cfg.RetryWait = 2 * time.Millisecond
-	}
-	if cfg.IdleWait <= 0 {
-		cfg.IdleWait = 10 * time.Millisecond
-	}
-	if cfg.Stall <= 0 {
-		cfg.Stall = 2 * cfg.LeaseTTL
 	}
 	reg := cfg.Reg
 	reg.Help("fleet_replica_pages_total", "Partition pages fetched, by replica.")
@@ -257,7 +245,7 @@ func (r *Replica) Run() error {
 			return nil
 		}
 		if !worked {
-			time.Sleep(r.cfg.IdleWait)
+			time.Sleep(idleWait)
 		}
 	}
 }
@@ -457,7 +445,9 @@ func (r *Replica) maybeFault(partitioned *bool) error {
 		if !*partitioned {
 			*partitioned = true
 			r.stalls.Inc()
-			time.Sleep(r.cfg.Stall)
+			// Outlive the TTL, so the write attempted afterwards
+			// meets the fence.
+			time.Sleep(2 * r.cfg.LeaseTTL)
 		}
 	}
 	return nil
@@ -477,11 +467,11 @@ func (r *Replica) fetchPage(tr *obs.Trace, cursor uint64) (page []jito.BundleRec
 			return page, nil
 		}
 		r.cfg.Quality.ObservePollError()
-		if attempt >= r.cfg.PageRetries {
+		if attempt >= pageRetries {
 			return nil, fmt.Errorf("page budget exhausted at cursor %d: %w", cursor, err)
 		}
 		r.retries.Inc()
-		time.Sleep(r.cfg.RetryWait)
+		time.Sleep(retryWait)
 	}
 }
 
@@ -509,14 +499,14 @@ func (r *Replica) fetchDetails(tr *obs.Trace, ds *collector.Dataset, mark int) e
 func (r *Replica) finishDetails(tr *obs.Trace, ds *collector.Dataset) (err error) {
 	sp := r.span(tr, "details_finish")
 	defer func() { r.closeSpan(tr, sp, err) }()
-	for attempt := 0; attempt <= r.cfg.PageRetries; attempt++ {
+	for attempt := 0; attempt <= pageRetries; attempt++ {
 		pending := pendingLen3(ds)
 		if len(pending) == 0 {
 			return nil
 		}
 		if attempt > 0 {
 			r.retries.Inc()
-			time.Sleep(r.cfg.RetryWait)
+			time.Sleep(retryWait)
 		}
 		_ = r.fetchIDs(ds, pending, 1)
 	}

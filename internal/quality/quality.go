@@ -34,7 +34,7 @@ import (
 	"jitomev/internal/obs"
 )
 
-// Paper-anchored calibration targets the default thresholds are built
+// Paper-anchored calibration targets the verdict thresholds are built
 // around (§3.1, §4.1, §4.2, Figure 4).
 const (
 	// TargetOverlapRate is the successive-poll overlap the paper
@@ -55,103 +55,68 @@ const (
 	TargetTipSeparation = 100
 )
 
-// Config tunes the sentinel. Zero values select the defaults below;
-// every threshold is deliberately generous — a verdict is for "the
-// collection methodology is rotting", not "this run differs 10% from
-// the paper".
-type Config struct {
-	// PollFailWarn / PollFailCrit bound the EWMA poll failure rate
-	// (defaults 0.02 / 0.25): a sustained >2% failure rate warrants
-	// attention, >25% means the scrape is losing pages wholesale.
-	PollFailWarn float64
-	PollFailCrit float64
+// Verdict thresholds. Every one is deliberately generous — a verdict is
+// for "the collection methodology is rotting", not "this run differs
+// 10% from the paper".
+const (
+	// pollFailWarn / pollFailCrit bound the EWMA poll failure rate: a
+	// sustained >2% failure rate warrants attention, >25% means the
+	// scrape is losing pages wholesale.
+	pollFailWarn = 0.02
+	pollFailCrit = 0.25
 
-	// OverlapWarn / OverlapCrit bound the overlap rate from below
-	// (defaults 0.85 / 0.50). The paper's own figure is ~0.95; bursts
-	// legitimately cost a few points.
-	OverlapWarn float64
-	OverlapCrit float64
+	// overlapWarn / overlapCrit bound the overlap rate from below. The
+	// paper's own figure is ~0.95; bursts legitimately cost a few points.
+	overlapWarn = 0.85
+	overlapCrit = 0.50
 
-	// GapRateWarn bounds the broken-pair fraction (default 0.15).
-	GapRateWarn float64
+	// gapRateWarn bounds the broken-pair fraction.
+	gapRateWarn = 0.15
 
-	// Len3ShareBand is the acceptable half-width around TargetLen3Share
-	// for WARN (default 0.015); 3× the band is CRIT.
-	Len3ShareBand float64
+	// len3ShareBand is the acceptable half-width around TargetLen3Share
+	// for WARN; 3× the band is CRIT.
+	len3ShareBand = 0.015
 
-	// DefensiveBand is the acceptable half-width around
-	// TargetDefensiveShare (default 0.16).
-	DefensiveBand float64
+	// defensiveBand is the acceptable half-width around
+	// TargetDefensiveShare.
+	defensiveBand = 0.16
 
-	// SandwichShareMin / SandwichShareMax bound the sandwich share
-	// (defaults 2e-5 / 5e-3): an order of magnitude either side of the
-	// paper's 0.038% before the drift is worth a verdict.
-	SandwichShareMin float64
-	SandwichShareMax float64
+	// sandwichShareMin / sandwichShareMax bound the sandwich share: an
+	// order of magnitude either side of the paper's 0.038% before the
+	// drift is worth a verdict.
+	sandwichShareMin = 2e-5
+	sandwichShareMax = 5e-3
 
-	// TipSepWarn / TipSepCrit bound the median-tip separation ratio
-	// from below (defaults 100 / 10).
-	TipSepWarn float64
-	TipSepCrit float64
+	// tipSepWarn / tipSepCrit bound the median-tip separation ratio from
+	// below.
+	tipSepWarn float64 = TargetTipSeparation
+	tipSepCrit float64 = 10
 
-	// DetailWarn / DetailCrit bound detail completeness (fetched details
-	// over length-3 bundles) from below (defaults 0.95 / 0.50).
-	DetailWarn float64
-	DetailCrit float64
+	// detailWarn / detailCrit bound detail completeness (fetched details
+	// over length-3 bundles) from below.
+	detailWarn = 0.95
+	detailCrit = 0.50
 
-	// CoverageWarn / CoverageCrit bound per-day coverage (collected over
-	// generated) from below when a generation feed is attached (defaults
-	// 0.50 / 0.25 — the polling economy plus outages legitimately cost a
-	// lot of coverage; see EXPERIMENTS.md's 81–85% canonical figures).
-	CoverageWarn float64
-	CoverageCrit float64
+	// coverageWarn / coverageCrit bound per-day coverage (collected over
+	// generated) from below when a generation feed is attached — the
+	// polling economy plus outages legitimately cost a lot of coverage;
+	// see EXPERIMENTS.md's 81–85% canonical figures.
+	coverageWarn = 0.50
+	coverageCrit = 0.25
 
-	// MinPolls, MinPairs, MinLen3, MinSandwiches gate the corresponding
-	// checks: below the floor a check reports OK with an
-	// "insufficient data" reason instead of judging noise (defaults
-	// 8 / 8 / 50 / 5).
-	MinPolls      int
-	MinPairs      int
-	MinLen3       int
-	MinSandwiches int
-}
+	// minPolls, minPairs, minLen3, minSandwiches gate the corresponding
+	// checks: below the floor a check reports OK with an "insufficient
+	// data" reason instead of judging noise.
+	minPolls      = 8
+	minPairs      = 8
+	minLen3       = 50
+	minSandwiches = 5
+)
 
-// Defaults fills zero fields and returns the result.
-func (c Config) Defaults() Config {
-	def := func(v *float64, d float64) {
-		if *v == 0 {
-			*v = d
-		}
-	}
-	def(&c.PollFailWarn, 0.02)
-	def(&c.PollFailCrit, 0.25)
-	def(&c.OverlapWarn, 0.85)
-	def(&c.OverlapCrit, 0.50)
-	def(&c.GapRateWarn, 0.15)
-	def(&c.Len3ShareBand, 0.015)
-	def(&c.DefensiveBand, 0.16)
-	def(&c.SandwichShareMin, 2e-5)
-	def(&c.SandwichShareMax, 5e-3)
-	def(&c.TipSepWarn, TargetTipSeparation)
-	def(&c.TipSepCrit, 10)
-	def(&c.DetailWarn, 0.95)
-	def(&c.DetailCrit, 0.50)
-	def(&c.CoverageWarn, 0.50)
-	def(&c.CoverageCrit, 0.25)
-	if c.MinPolls == 0 {
-		c.MinPolls = 8
-	}
-	if c.MinPairs == 0 {
-		c.MinPairs = 8
-	}
-	if c.MinLen3 == 0 {
-		c.MinLen3 = 50
-	}
-	if c.MinSandwiches == 0 {
-		c.MinSandwiches = 5
-	}
-	return c
-}
+// Config is the sentinel's configuration. It has no settable fields:
+// the thresholds above are fixed, so every run is judged by the same
+// methodology.
+type Config struct{}
 
 // AnalysisObs is what one analysis pass feeds the sentinel: the scalar
 // invariants plus the per-day series the drift detectors stream over.
@@ -196,7 +161,6 @@ type DayAnalysis struct {
 // no-ops on a nil receiver.
 type Sentinel struct {
 	mu  sync.Mutex
-	cfg Config
 	led *Ledger
 
 	// Streaming detectors over the collection-time series.
@@ -226,12 +190,10 @@ type Sentinel struct {
 	checkG     map[string]*obs.Gauge
 }
 
-// New builds a sentinel with cfg (zero value = defaults), publishing
-// its gap counter, estimated-missed gauge and verdict gauges onto reg
-// (nil = unpublished).
-func New(cfg Config, reg *obs.Registry) *Sentinel {
+// New builds a sentinel, publishing its gap counter, estimated-missed
+// gauge and verdict gauges onto reg (nil = unpublished).
+func New(_ Config, reg *obs.Registry) *Sentinel {
 	s := &Sentinel{
-		cfg:          cfg.Defaults(),
 		led:          newLedger(),
 		pollFail:     NewEWMA(0.1),
 		overlapEWMA:  NewEWMA(0.05),
@@ -251,14 +213,6 @@ func New(cfg Config, reg *obs.Registry) *Sentinel {
 		s.statusG = reg.Gauge("quality_status")
 	}
 	return s
-}
-
-// Config reads the resolved (defaulted) configuration.
-func (s *Sentinel) Config() Config {
-	if s == nil {
-		return Config{}.Defaults()
-	}
-	return s.cfg
 }
 
 // ObservePoll records one successful recent-bundles poll: the day the

@@ -95,7 +95,6 @@ func (s *Sentinel) Evaluate() Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	cfg := s.cfg
 	sum := s.led.Summary()
 	var checks []Check
 
@@ -113,16 +112,16 @@ func (s *Sentinel) Evaluate() Report {
 		fr = ew
 	}
 	switch {
-	case polls < cfg.MinPolls:
-		grade("poll_failure_rate", fr, 0, OK, fmt.Sprintf("insufficient data: %d polls < %d", polls, cfg.MinPolls))
-	case fr >= cfg.PollFailCrit:
+	case polls < minPolls:
+		grade("poll_failure_rate", fr, 0, OK, fmt.Sprintf("insufficient data: %d polls < %d", polls, minPolls))
+	case fr >= pollFailCrit:
 		grade("poll_failure_rate", fr, 0, CRIT,
 			fmt.Sprintf("poll failure rate %.3f >= %.2f: the scrape is losing pages wholesale (%d of %d polls failed)",
-				fr, cfg.PollFailCrit, sum.PollsFailed, polls))
-	case fr >= cfg.PollFailWarn:
+				fr, pollFailCrit, sum.PollsFailed, polls))
+	case fr >= pollFailWarn:
 		grade("poll_failure_rate", fr, 0, WARN,
 			fmt.Sprintf("poll failure rate %.3f >= %.2f: sustained transport faults (%d of %d polls failed)",
-				fr, cfg.PollFailWarn, sum.PollsFailed, polls))
+				fr, pollFailWarn, sum.PollsFailed, polls))
 	default:
 		grade("poll_failure_rate", fr, 0, OK, "")
 	}
@@ -130,16 +129,16 @@ func (s *Sentinel) Evaluate() Report {
 	// overlap_rate: §3.1 completeness invariant (H11, ~95%).
 	ov := sum.OverlapRate
 	switch {
-	case int(sum.Pairs) < cfg.MinPairs:
+	case int(sum.Pairs) < minPairs:
 		grade("overlap_rate", ov, TargetOverlapRate, OK,
-			fmt.Sprintf("insufficient data: %d pairs < %d", sum.Pairs, cfg.MinPairs))
-	case ov < cfg.OverlapCrit:
+			fmt.Sprintf("insufficient data: %d pairs < %d", sum.Pairs, minPairs))
+	case ov < overlapCrit:
 		grade("overlap_rate", ov, TargetOverlapRate, CRIT,
 			fmt.Sprintf("overlap %.1f%% < %.0f%%: most successive pages share no bundle — completeness argument void",
-				100*ov, 100*cfg.OverlapCrit))
-	case ov < cfg.OverlapWarn || s.overlapCUS.InAlarm():
-		reason := fmt.Sprintf("overlap %.1f%% < %.0f%% (paper ~95%%)", 100*ov, 100*cfg.OverlapWarn)
-		if ov >= cfg.OverlapWarn {
+				100*ov, 100*overlapCrit))
+	case ov < overlapWarn || s.overlapCUS.InAlarm():
+		reason := fmt.Sprintf("overlap %.1f%% < %.0f%% (paper ~95%%)", 100*ov, 100*overlapWarn)
+		if ov >= overlapWarn {
 			hi, lo := s.overlapCUS.Sides()
 			reason = fmt.Sprintf("CUSUM drift alarm (hi=%.2f lo=%.2f): overlap shifting away from %.2f", hi, lo, TargetOverlapRate)
 		}
@@ -154,10 +153,10 @@ func (s *Sentinel) Evaluate() Report {
 		gapRate = float64(sum.Gaps) / float64(sum.Pairs)
 	}
 	switch {
-	case int(sum.Pairs) < cfg.MinPairs:
+	case int(sum.Pairs) < minPairs:
 		grade("page_gaps", gapRate, 0, OK,
-			fmt.Sprintf("insufficient data: %d pairs < %d", sum.Pairs, cfg.MinPairs))
-	case gapRate > cfg.GapRateWarn:
+			fmt.Sprintf("insufficient data: %d pairs < %d", sum.Pairs, minPairs))
+	case gapRate > gapRateWarn:
 		grade("page_gaps", gapRate, 0, WARN,
 			fmt.Sprintf("%.1f%% of poll pairs broken (%d gaps, est. %d bundles missed)",
 				100*gapRate, sum.Gaps, sum.EstimatedMissed))
@@ -174,12 +173,12 @@ func (s *Sentinel) Evaluate() Report {
 		switch {
 		case polls == 0:
 			grade("coverage", cov, 1, OK, "insufficient data: no collection observed")
-		case cov < cfg.CoverageCrit:
+		case cov < coverageCrit:
 			grade("coverage", cov, 1, CRIT,
-				fmt.Sprintf("coverage %.1f%% < %.0f%%: the dataset is a thin sample of the chain", 100*cov, 100*cfg.CoverageCrit))
-		case cov < cfg.CoverageWarn:
+				fmt.Sprintf("coverage %.1f%% < %.0f%%: the dataset is a thin sample of the chain", 100*cov, 100*coverageCrit))
+		case cov < coverageWarn:
 			grade("coverage", cov, 1, WARN,
-				fmt.Sprintf("coverage %.1f%% < %.0f%%", 100*cov, 100*cfg.CoverageWarn))
+				fmt.Sprintf("coverage %.1f%% < %.0f%%", 100*cov, 100*coverageWarn))
 		default:
 			grade("coverage", cov, 1, OK, "")
 		}
@@ -197,29 +196,29 @@ func (s *Sentinel) Evaluate() Report {
 				dev = -dev
 			}
 			switch {
-			case int(a.Len3Bundles) < cfg.MinLen3:
+			case int(a.Len3Bundles) < minLen3:
 				grade("len3_share", share, TargetLen3Share, OK,
-					fmt.Sprintf("insufficient data: %d length-3 bundles < %d", a.Len3Bundles, cfg.MinLen3))
-			case dev > 3*cfg.Len3ShareBand:
+					fmt.Sprintf("insufficient data: %d length-3 bundles < %d", a.Len3Bundles, minLen3))
+			case dev > 3*len3ShareBand:
 				grade("len3_share", share, TargetLen3Share, CRIT,
 					fmt.Sprintf("length-3 share %.2f%% vs paper 2.77%%: collection economy is seeing a different population", 100*share))
-			case dev > cfg.Len3ShareBand:
+			case dev > len3ShareBand:
 				grade("len3_share", share, TargetLen3Share, WARN,
-					fmt.Sprintf("length-3 share %.2f%% outside ±%.1fpp of 2.77%%", 100*share, 100*cfg.Len3ShareBand))
+					fmt.Sprintf("length-3 share %.2f%% outside ±%.1fpp of 2.77%%", 100*share, 100*len3ShareBand))
 			default:
 				grade("len3_share", share, TargetLen3Share, OK, "")
 			}
 		}
 
 		// detail_completeness: fetched details over length-3 bundles.
-		if int(a.Len3Bundles) >= cfg.MinLen3 {
+		if int(a.Len3Bundles) >= minLen3 {
 			comp := float64(a.Len3WithDetails) / float64(a.Len3Bundles)
 			switch {
-			case comp < cfg.DetailCrit:
+			case comp < detailCrit:
 				grade("detail_completeness", comp, 1, CRIT,
 					fmt.Sprintf("only %.1f%% of length-3 bundles have details (%d batches failed, %d ids pending)",
 						100*comp, s.led.detailBatchErr, s.led.detailsPending))
-			case comp < cfg.DetailWarn:
+			case comp < detailWarn:
 				grade("detail_completeness", comp, 1, WARN,
 					fmt.Sprintf("%.1f%% of length-3 bundles have details (%d ids pending)", 100*comp, s.led.detailsPending))
 			default:
@@ -228,19 +227,19 @@ func (s *Sentinel) Evaluate() Report {
 		}
 
 		// sandwich_rate vs 0.038% (H8).
-		if a.TotalBundles > 0 && int(a.Sandwiches) >= cfg.MinSandwiches {
+		if a.TotalBundles > 0 && int(a.Sandwiches) >= minSandwiches {
 			share := float64(a.Sandwiches) / float64(a.TotalBundles)
 			switch {
-			case share < cfg.SandwichShareMin || share > cfg.SandwichShareMax:
+			case share < sandwichShareMin || share > sandwichShareMax:
 				grade("sandwich_rate", share, TargetSandwichShare, WARN,
 					fmt.Sprintf("sandwich share %.4f%% outside [%.4f%%, %.2f%%] (paper 0.038%%)",
-						100*share, 100*cfg.SandwichShareMin, 100*cfg.SandwichShareMax))
+						100*share, 100*sandwichShareMin, 100*sandwichShareMax))
 			default:
 				grade("sandwich_rate", share, TargetSandwichShare, OK, "")
 			}
 		} else {
 			grade("sandwich_rate", 0, TargetSandwichShare, OK,
-				fmt.Sprintf("insufficient data: %d sandwiches < %d", a.Sandwiches, cfg.MinSandwiches))
+				fmt.Sprintf("insufficient data: %d sandwiches < %d", a.Sandwiches, minSandwiches))
 		}
 
 		// defensive_share vs 86% (H5).
@@ -250,9 +249,9 @@ func (s *Sentinel) Evaluate() Report {
 				dev = -dev
 			}
 			switch {
-			case dev > cfg.DefensiveBand:
+			case dev > defensiveBand:
 				grade("defensive_share", a.DefensiveShare, TargetDefensiveShare, WARN,
-					fmt.Sprintf("defensive share %.1f%% outside ±%.0fpp of 86%%", 100*a.DefensiveShare, 100*cfg.DefensiveBand))
+					fmt.Sprintf("defensive share %.1f%% outside ±%.0fpp of 86%%", 100*a.DefensiveShare, 100*defensiveBand))
 			default:
 				grade("defensive_share", a.DefensiveShare, TargetDefensiveShare, OK, "")
 			}
@@ -260,21 +259,21 @@ func (s *Sentinel) Evaluate() Report {
 
 		// tip_separation: median sandwich tip over median length-3 tip
 		// (Figure 4's three orders of magnitude, floored at 100×).
-		if int(a.Sandwiches) >= cfg.MinSandwiches && a.MedianTipLen3 > 0 {
+		if int(a.Sandwiches) >= minSandwiches && a.MedianTipLen3 > 0 {
 			ratio := a.MedianTipSandwich / a.MedianTipLen3
 			switch {
-			case ratio < cfg.TipSepCrit:
+			case ratio < tipSepCrit:
 				grade("tip_separation", ratio, TargetTipSeparation, CRIT,
 					fmt.Sprintf("median sandwich tip only %.1f× the length-3 median: the Figure 4 separation has collapsed", ratio))
-			case ratio < cfg.TipSepWarn:
+			case ratio < tipSepWarn:
 				grade("tip_separation", ratio, TargetTipSeparation, WARN,
-					fmt.Sprintf("median sandwich tip %.0f× the length-3 median (< %.0f×)", ratio, cfg.TipSepWarn))
+					fmt.Sprintf("median sandwich tip %.0f× the length-3 median (< %.0f×)", ratio, tipSepWarn))
 			default:
 				grade("tip_separation", ratio, TargetTipSeparation, OK, "")
 			}
 		} else {
 			grade("tip_separation", 0, TargetTipSeparation, OK,
-				fmt.Sprintf("insufficient data: %d sandwiches < %d", a.Sandwiches, cfg.MinSandwiches))
+				fmt.Sprintf("insufficient data: %d sandwiches < %d", a.Sandwiches, minSandwiches))
 		}
 	}
 

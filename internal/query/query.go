@@ -16,9 +16,7 @@
 // Planning is predicate pushdown on the per-shard metadata the encoder
 // wrote: shards whose day bounds miss the requested range are skipped
 // without decompression, the orphan-details section is always skipped
-// (no bundle record can reference an orphan, by construction), and
-// SkipExtended additionally drops the length-4/5 section for queries
-// that only need the paper's length-3 economy.
+// (no bundle record can reference an orphan, by construction).
 package query
 
 import (
@@ -29,7 +27,6 @@ import (
 
 	"jitomev/internal/core"
 	"jitomev/internal/jito"
-	"jitomev/internal/obs"
 	"jitomev/internal/report"
 	"jitomev/internal/snapshot"
 )
@@ -43,7 +40,7 @@ type DayRange struct {
 func (dr DayRange) Contains(d int) bool { return d >= dr.Lo && d <= dr.Hi }
 
 // Options configure a query. The zero value computes the full Results
-// over all days on all cores, uninstrumented.
+// over all days on all cores.
 type Options struct {
 	// Workers bounds the decode/detect pool (0 = all cores, 1 = serial).
 	// Results are identical at every worker count.
@@ -54,21 +51,6 @@ type Options struct {
 	// pruned without decompression. The tip histograms and the
 	// duplicate count have no per-day breakdown and stay global.
 	Days *DayRange
-
-	// SkipExtended drops the extended pass over retained length-4/5
-	// bundles (and prunes their shards): the paper's length-3-only
-	// economy. The extended statistics read zero.
-	SkipExtended bool
-
-	// SOLPriceUSD for dollar conversions; ≤ 0 selects the paper's rate.
-	SOLPriceUSD float64
-
-	// Detector overrides the detection criteria (nil = paper defaults).
-	Detector *core.Detector
-
-	// Reg optionally receives scan counters, detection counters, spans
-	// and the live-heap gauge.
-	Reg *obs.Registry
 }
 
 // Stats describes how a query executed — what was scanned, what the
@@ -125,28 +107,16 @@ type shardResult struct {
 }
 
 // heapSampleEvery bounds how often the fold goroutine pays for a
-// runtime.ReadMemStats: every 32 shards keeps the gauge honest at a
+// runtime.ReadMemStats: every 32 shards keeps the peak honest at a
 // fraction of a percent of scan time.
 const heapSampleEvery = 32
 
 // runStreaming executes the out-of-core pass.
 func runStreaming(r io.Reader, opts Options, st *Stats) (*report.Results, error) {
-	reg := opts.Reg
-	det := opts.Detector
-	if det == nil {
-		det = core.NewDefaultDetector()
-	}
-
-	reg.Volatile("query_live_heap_bytes")
-	reg.Help("query_live_heap_bytes", "Live heap sampled during the streaming query, bytes.")
-	reg.Help("query_shards_total", "Streaming shards by section and planner outcome.")
-	heapGauge := reg.Gauge("query_live_heap_bytes")
 	sampleHeap := func() {
-		h := liveHeap()
-		if h > st.PeakHeapBytes {
+		if h := liveHeap(); h > st.PeakHeapBytes {
 			st.PeakHeapBytes = h
 		}
-		heapGauge.Set(int64(h))
 	}
 
 	var (
@@ -157,14 +127,10 @@ func runStreaming(r io.Reader, opts Options, st *Stats) (*report.Results, error)
 
 	scanOpts := snapshot.ScanOptions{
 		Workers: opts.Workers,
-		Reg:     reg,
 		Prune: func(sec snapshot.Section, m snapshot.ShardMeta) bool {
 			// Orphan details are referenced by no record — they can
 			// never reach the detector.
 			if sec == snapshot.SectionOrphans {
-				return true
-			}
-			if opts.SkipExtended && sec == snapshot.SectionLong {
 				return true
 			}
 			if opts.Days != nil && (m.MaxDay < opts.Days.Lo || m.MinDay > opts.Days.Hi) {
@@ -201,21 +167,18 @@ func runStreaming(r io.Reader, opts Options, st *Stats) (*report.Results, error)
 		},
 	}
 
-	span := reg.StartSpan("query_scan")
 	sampleHeap()
 	err := snapshot.Scan(r, scanOpts, func(p *snapshot.Prelude) error {
-		a = newAccumulator(p, det, opts)
+		a = newAccumulator(p, opts)
 		return nil
 	}, func(sec snapshot.Section, m snapshot.ShardMeta, _ *snapshot.Batch, mapped any) error {
 		if mapped == nil { // pruned
 			st.ShardsPruned++
 			st.BytesSkipped += int64(m.CompLen)
-			reg.Counter("query_shards_total", "section", sec.String(), "outcome", "pruned").Add(1)
 			return nil
 		}
 		st.ShardsScanned++
 		st.BytesDecoded += int64(m.RawLen)
-		reg.Counter("query_shards_total", "section", sec.String(), "outcome", "scanned").Add(1)
 		sr := mapped.(*shardResult)
 		switch sec {
 		case snapshot.SectionLen3:
@@ -229,15 +192,12 @@ func runStreaming(r io.Reader, opts Options, st *Stats) (*report.Results, error)
 		}
 		return nil
 	})
-	span.End()
 	if err != nil {
 		return nil, err
 	}
 	sampleHeap()
-	reg.Counter("query_bytes_decoded_total").Add(uint64(st.BytesDecoded))
-	reg.Counter("query_bytes_skipped_total").Add(uint64(st.BytesSkipped))
 
-	res := a.Finish(reg)
+	res := a.Finish(nil)
 	// The prelude cannot know how many length-3 records survive a day
 	// restriction; the scan counted them.
 	res.Len3Bundles = uint64(len3InRange)
@@ -248,7 +208,7 @@ func runStreaming(r io.Reader, opts Options, st *Stats) (*report.Results, error)
 // the prelude through untouched, day-restricted ones recompute the
 // collection totals from the surviving days (and restrict detection to
 // matching records).
-func newAccumulator(p *snapshot.Prelude, det *core.Detector, opts Options) *report.Accumulator {
+func newAccumulator(p *snapshot.Prelude, opts Options) *report.Accumulator {
 	sc := report.Scope{
 		Clock:      p.Clock(),
 		Days:       p.Days,
@@ -270,7 +230,7 @@ func newAccumulator(p *snapshot.Prelude, det *core.Detector, opts Options) *repo
 			}
 		}
 	}
-	a := report.NewAccumulator(det, opts.SOLPriceUSD, sc)
+	a := report.NewAccumulator(core.NewDefaultDetector(), 0, sc)
 	if opts.Days != nil {
 		a.Restrict(opts.Days.Lo, opts.Days.Hi)
 	}

@@ -234,33 +234,6 @@ func TestDayRangePushdown(t *testing.T) {
 	}
 }
 
-// TestSkipExtended checks the length-3-only economy: the long section is
-// pruned wholesale and the extended statistics read zero.
-func TestSkipExtended(t *testing.T) {
-	data := buildStudyDataset(t)
-	blob := saveV3(t, data)
-
-	trimmed := *data
-	trimmed.Long = nil
-	ref := report.AnalyzeN(&trimmed, core.NewDefaultDetector(), 0, 1)
-
-	res, st, err := Run(bytes.NewReader(blob), Options{Workers: 4, SkipExtended: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LongBundlesScanned != 0 || res.DisguisedSandwiches != 0 {
-		t.Errorf("extended stats nonzero under SkipExtended: %d scanned, %d disguised",
-			res.LongBundlesScanned, res.DisguisedSandwiches)
-	}
-	if !reflect.DeepEqual(ref, res) {
-		t.Error("SkipExtended Results diverge from resident pass without Long records")
-		diffResults(t, ref, res)
-	}
-	if st.ShardsPruned == 0 {
-		t.Error("SkipExtended pruned no shards")
-	}
-}
-
 // writeStudyFile generates a study of the given length and saves its v3
 // snapshot to disk, returning only the path — the resident dataset is
 // released before the caller queries, so the measurement sees streaming

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"jitomev/internal/obs"
 	"jitomev/internal/parallel"
 	"jitomev/internal/solana"
 	"jitomev/internal/stats"
@@ -69,16 +68,12 @@ func (s Section) String() string {
 type ScanFold func(sec Section, m ShardMeta, b *Batch, mapped any) error
 
 // ScanOptions configure a streaming pass. The zero value scans
-// everything on all cores, uninstrumented.
+// everything on all cores.
 type ScanOptions struct {
 	// Workers bounds the decompress/decode pool (0 = all cores,
 	// 1 = serial). Frames are always read, pruned and folded serially in
 	// shard order, so results are identical at every worker count.
 	Workers int
-
-	// Reg optionally records shard counts, byte totals and scan duration
-	// (the same families the batch read path uses, op="scan").
-	Reg *obs.Registry
 
 	// Prune, when non-nil, is consulted once per shard in file order
 	// before the blob is touched; returning true skips decompression and
@@ -96,12 +91,6 @@ type ScanOptions struct {
 	// Map.
 	Map func(sec Section, m ShardMeta, b *Batch) (any, error)
 
-	// RecordsOnly, when non-nil and reporting true for a bundle section,
-	// leaves that section's detail payloads unparsed: batches carry
-	// records with HasDetails() == false. Ignored for the orphans
-	// section (which holds nothing but details).
-	RecordsOnly func(sec Section) bool
-
 	// SectionStart, when non-nil, runs before each streaming section's
 	// shards with the section's totals — the hook full loads use to
 	// preallocate and planners use to size their accounting.
@@ -111,7 +100,7 @@ type ScanOptions struct {
 // Scan streams a snapshot from r: prelude once, then one fold call per
 // shard of the len3, long and orphans sections, in file order.
 func Scan(r io.Reader, opts ScanOptions, prelude func(*Prelude) error, fold ScanFold) error {
-	return scan(bufferedReader(r, 1<<20), &opts, newSnapObs(opts.Reg, "scan"), prelude, fold)
+	return scan(bufferedReader(r, 1<<20), &opts, &snapObs{}, prelude, fold)
 }
 
 // readSectionHeader consumes one section header, enforcing the strict
@@ -255,10 +244,6 @@ func scanSection(br *bufio.Reader, sec Section, shards, total int, opts *ScanOpt
 	if sec == SectionOrphans {
 		shardItems = orphanShardSize
 	}
-	withDetails := true
-	if opts.RecordsOnly != nil && sec != SectionOrphans {
-		withDetails = !opts.RecordsOnly(sec)
-	}
 
 	// The gate: produce(i) may read its frame only once frames 0..i-1
 	// are off the stream. Its holder is always inside produce (indices
@@ -312,7 +297,7 @@ func scanSection(br *bufio.Reader, sec Section, shards, total int, opts *ScanOpt
 			if sec == SectionOrphans {
 				sh.batch, err = decodeOrphanShard(sh.meta.Items, raw)
 			} else {
-				sh.batch, err = decodeBundleShard(sh.meta.Items, raw, withDetails)
+				sh.batch, err = decodeBundleShard(sh.meta.Items, raw)
 			}
 		}
 		if err != nil {

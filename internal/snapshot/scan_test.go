@@ -193,41 +193,6 @@ func TestScanPruneDays(t *testing.T) {
 	}
 }
 
-// TestScanRecordsOnly checks the records-only fast path leaves details
-// unparsed but records intact.
-func TestScanRecordsOnly(t *testing.T) {
-	s := alignedSnapshot(24, bundleShardSize+100, 5, 0.9)
-	var buf bytes.Buffer
-	if err := Write(&buf, s, 0); err != nil {
-		t.Fatal(err)
-	}
-	var recs int
-	err := Scan(&buf, ScanOptions{
-		Workers:     2,
-		RecordsOnly: func(Section) bool { return true },
-		// Orphan shards hold only details; prune them outright.
-		Prune: func(sec Section, _ ShardMeta) bool { return sec == SectionOrphans },
-	}, nil, func(sec Section, m ShardMeta, b *Batch, _ any) error {
-		if b == nil {
-			return nil
-		}
-		if b.HasDetails() {
-			t.Errorf("%s: details decoded under RecordsOnly", sec)
-		}
-		if len(b.Details()) != 0 {
-			t.Errorf("%s: %d details under RecordsOnly", sec, len(b.Details()))
-		}
-		recs += len(b.Recs)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(s.Len3) + len(s.Long); recs != want {
-		t.Errorf("scanned %d records, want %d", recs, want)
-	}
-}
-
 // TestScanIdenticalAcrossWorkers pins scan determinism: the fold
 // sequence (sections, metadata, batch contents) must be identical at
 // every worker count.

@@ -224,14 +224,9 @@ func encodeOrphanShard(sigs []solana.Signature, details map[solana.Signature]jit
 type Batch struct {
 	Recs []jito.BundleRecord
 
-	hasDetails bool
-	dets       []jito.TxDetail // present details, (record, member) order
-	detOff     []int32         // per record, index of its first detail; len(Recs)+1
+	dets   []jito.TxDetail // present details, (record, member) order
+	detOff []int32         // per record, index of its first detail; len(Recs)+1
 }
-
-// HasDetails reports whether detail columns were decoded (false when the
-// scan asked for records only).
-func (b *Batch) HasDetails() bool { return b.hasDetails }
 
 // Details returns every detail present in the batch in (record, member)
 // order — orphan batches return their whole payload. Full loads use it
@@ -270,20 +265,13 @@ func readLocalInterns(c *varintCursor) ([]solana.Pubkey, error) {
 	return keys, nil
 }
 
-// decodeBundleShard parses one self-contained shard. With withDetails
-// false only the record columns are decoded and the rest of the payload
-// is deliberately left unparsed — the records-only fast path for
-// queries that never touch details.
-func decodeBundleShard(items int, raw []byte, withDetails bool) (*Batch, error) {
+// decodeBundleShard parses one self-contained shard.
+func decodeBundleShard(items int, raw []byte) (*Batch, error) {
 	b := &Batch{Recs: make([]jito.BundleRecord, items)}
 	c := varintCursor{raw: raw}
 	if err := decodeRecordColumns(b.Recs, &c); err != nil {
 		return nil, err
 	}
-	if !withDetails {
-		return b, nil
-	}
-
 	keys, err := readLocalInterns(&c)
 	if err != nil {
 		return nil, err
@@ -324,7 +312,6 @@ func decodeBundleShard(items int, raw []byte, withDetails bool) (*Batch, error) 
 		return nil, err
 	}
 	b.dets = dets
-	b.hasDetails = true
 	return b, nil
 }
 
@@ -349,5 +336,5 @@ func decodeOrphanShard(items int, raw []byte) (*Batch, error) {
 	if err := c.done(); err != nil {
 		return nil, err
 	}
-	return &Batch{dets: dets, hasDetails: true}, nil
+	return &Batch{dets: dets}, nil
 }

@@ -41,11 +41,3 @@ func FromSOL(sol float64) Lamports {
 func (l Lamports) String() string {
 	return fmt.Sprintf("%d lamports (%.9f SOL)", uint64(l), l.SOL())
 }
-
-// Saturating subtraction: returns l-x, or 0 if x > l.
-func (l Lamports) SubSat(x Lamports) Lamports {
-	if x > l {
-		return 0
-	}
-	return l - x
-}

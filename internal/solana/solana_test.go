@@ -109,12 +109,6 @@ func TestLamportsConversions(t *testing.T) {
 	if FromSOL(-1) != 0 {
 		t.Error("negative SOL should clamp to 0")
 	}
-	if Lamports(5).SubSat(10) != 0 {
-		t.Error("SubSat should saturate at 0")
-	}
-	if Lamports(10).SubSat(4) != 6 {
-		t.Error("SubSat arithmetic wrong")
-	}
 }
 
 func sampleTx(seed string, nonce uint64) *Transaction {

@@ -42,9 +42,6 @@ type CrossConfig struct {
 	// a deliberately conservative per-candidate footprint). ≤ 0 selects
 	// 1 MiB.
 	MaxBytes int
-
-	// SOLMint for gain quantification; zero selects wrapped SOL.
-	SOLMint solana.Pubkey
 }
 
 // CrossVerdict is one cross-block sandwich: front- and back-legs from
@@ -97,7 +94,6 @@ type candidate struct {
 
 type crossTracker struct {
 	cfg        CrossConfig
-	solMint    solana.Pubkey
 	maxEntries int
 
 	cache  map[candKey]*candidate
@@ -118,9 +114,6 @@ func newCrossTracker(cfg CrossConfig, reg *obs.Registry) *crossTracker {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 1 << 20
 	}
-	if cfg.SOLMint == (solana.Pubkey{}) {
-		cfg.SOLMint = token.SOL.Address
-	}
 	maxEntries := cfg.MaxBytes / candBytes
 	if maxEntries < 1 {
 		maxEntries = 1
@@ -131,7 +124,6 @@ func newCrossTracker(cfg CrossConfig, reg *obs.Registry) *crossTracker {
 	reg.Help("stream_cross_cache_bytes", "Cross-block candidate cache footprint (accounted bytes).")
 	return &crossTracker{
 		cfg:          cfg,
-		solMint:      cfg.SOLMint,
 		maxEntries:   maxEntries,
 		cache:        make(map[candKey]*candidate),
 		byPair:       make(map[core.MintPair]*candidate),
@@ -227,7 +219,7 @@ func (c *crossTracker) emit(cand *candidate, slot solana.Slot, id jito.BundleID,
 		FrontTip:  cand.frontTip,
 		BackTip:   tip,
 	}
-	switch c.solMint {
+	switch token.SOL.Address {
 	case front.Sold:
 		v.HasSOL = true
 		v.AttackerGainLamports = float64(netSold)

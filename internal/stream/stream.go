@@ -62,10 +62,6 @@ type Config struct {
 	// dropped and counted. 0 selects 2.
 	LagSlots solana.Slot
 
-	// DedupSlots is how many slots behind the watermark delivered bundle
-	// ids are remembered for duplicate suppression. 0 selects 64.
-	DedupSlots solana.Slot
-
 	// Extended also detects disguised sandwiches in length-4/5 events,
 	// matching a batch pass with extended detection enabled.
 	Extended bool
@@ -73,9 +69,6 @@ type Config struct {
 	// Clock maps slots to study days; pass the workload's (live) or the
 	// dataset's (replay).
 	Clock solana.Clock
-
-	// Detector overrides the criteria (nil = paper defaults).
-	Detector *core.Detector
 
 	// SOLPriceUSD for dollar conversions; ≤ 0 selects the paper's rate.
 	SOLPriceUSD float64
@@ -109,6 +102,10 @@ type Event struct {
 	// cost rides the existing sampling stride.
 	tr *obs.Trace
 }
+
+// dedupSlots is how many slots behind the watermark delivered bundle
+// ids are remembered for duplicate suppression.
+const dedupSlots solana.Slot = 64
 
 // detectLatencyBuckets resolve microseconds through one slot time
 // (400 ms) and beyond, in seconds.
@@ -223,12 +220,6 @@ func New(cfg Config) *Engine {
 	if cfg.LagSlots <= 0 {
 		cfg.LagSlots = 2
 	}
-	if cfg.DedupSlots <= 0 {
-		cfg.DedupSlots = 64
-	}
-	if cfg.Detector == nil {
-		cfg.Detector = core.NewDefaultDetector()
-	}
 	cfg.Workers = parallel.Workers(cfg.Workers)
 	reg := cfg.Reg
 	if reg == nil {
@@ -239,7 +230,7 @@ func New(cfg Config) *Engine {
 		cfg:      cfg,
 		reg:      reg,
 		tracer:   reg.TracerAttached(),
-		acc:      report.NewLiveAccumulator(cfg.Detector, cfg.SOLPriceUSD, cfg.Clock),
+		acc:      report.NewLiveAccumulator(core.NewDefaultDetector(), cfg.SOLPriceUSD, cfg.Clock),
 		pending:  make(map[solana.Slot]*slotJob),
 		ids:      make(map[jito.BundleID]struct{}),
 		days:     make(map[int]*collector.DayAgg),
@@ -526,13 +517,13 @@ func (e *Engine) seal(job *slotJob, now time.Time) {
 	e.jobs <- job
 }
 
-// expireDedup forgets bundle ids of slots DedupSlots behind the
+// expireDedup forgets bundle ids of slots dedupSlots behind the
 // watermark. Caller holds mu.
 func (e *Engine) expireDedup(w solana.Slot) {
-	if w < e.cfg.DedupSlots {
+	if w < dedupSlots {
 		return
 	}
-	cutoff := w - e.cfg.DedupSlots
+	cutoff := w - dedupSlots
 	for e.retHead < len(e.retired) && e.retired[e.retHead].slot < cutoff {
 		rs := &e.retired[e.retHead]
 		delete(e.ids, rs.id)

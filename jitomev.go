@@ -168,8 +168,8 @@ type Outcome struct {
 	Obs *obs.Registry
 
 	// Quality is the data-quality sentinel the run fed — Config.Quality
-	// when set, a fresh sentinel otherwise. Serve its OpsEndpoints, or
-	// WriteReport it beside Obs.WriteSummary.
+	// when set, a fresh sentinel otherwise. Serve its QualityHandler on
+	// /qualityz, or WriteReport it beside Obs.WriteSummary.
 	Quality *quality.Sentinel
 	// QualityReport is the end-of-run verdict (Quality.Evaluate at
 	// pipeline completion).
@@ -254,7 +254,7 @@ func Run(cfg Config) (*Outcome, error) {
 		// In-process chaos: wrap the transport itself, adding the
 		// content-level faults HTTP middleware cannot express (partial
 		// details, duplicated and reordered page entries).
-		transport = faults.WrapTransport(transport, chaos, faults.TransportOptions{})
+		transport = faults.WrapTransport(transport, chaos)
 	}
 
 	coll := collector.NewObs(ccfg, p.Clock(), transport, reg)
